@@ -53,25 +53,33 @@
 //! the *timing* (virtual seconds) depend on `W` and gossip — that is
 //! the whole point of measuring them.
 
+//!
+//! **Phases.** [`FleetCoordinator::run`] is admit → build shards → per
+//! epoch {plan, step, barrier: quality → settle → gossip} → finalize,
+//! each a method of one private run state. Only `step` runs on shard
+//! threads; every other phase — and so every trace event — runs on the
+//! serial control path. The quality latch precedes settle so a converged
+//! job releases its slice at the barrier that stopped it.
+
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::fmt;
 
 use mto_core::mto::RewireStats;
 use mto_core::walk::Walker;
 use mto_graph::NodeId;
 use mto_net::{Concurrency, PipelineConfig, ProviderProfile, QueryPipeline};
+use mto_obs::quality::{scale_milli, QualityAccumulator};
+use mto_obs::{MetricsRegistry, WallClockRegistry, WallClockScope, WallKey, WallStats};
 use mto_osn::{CachedClient, SharedClient, SocialNetworkInterface, VirtualClock};
 use mto_qos::{
-    plan_epoch, AdmissionController, BudgetLedger, CostPredictor, DeadlinePolicy, LiveJob,
-    PlannerConfig,
+    plan_epoch, AdmissionController, AdmissionDecision, BudgetLedger, CostPredictor,
+    DeadlinePolicy, LiveJob, PlannerConfig,
 };
 use mto_serve::error::{Result, ServeError};
 use mto_serve::history::HistoryStore;
 use mto_serve::scheduler::{finalize_session, JobOutcome, SchedulePolicy};
 use mto_serve::session::{JobSpec, SampleObserver, SamplerSession, SessionState};
-
-use mto_net::PipelineStats;
-use mto_obs::MetricsRegistry;
 
 use crate::plan::ShardPlan;
 use crate::report::{EpochReport, FleetObsData, FleetReport, LedgerSummary};
@@ -179,6 +187,14 @@ fn epoch_t_us(epoch: usize) -> u64 {
     (epoch as u64).saturating_mul(1_000_000)
 }
 
+/// Stamps a trace point when the run is observed. `name` is formatted
+/// only then, so an unobserved run formats nothing.
+fn point(obs: &mut Option<FleetObsData>, t: u64, name: fmt::Arguments<'_>, value: u64) {
+    if let Some(obs) = obs {
+        obs.trace.point(t, &name.to_string(), value);
+    }
+}
+
 impl FleetConfig {
     fn pipeline_config(&self, shard: usize) -> PipelineConfig {
         let base = PipelineConfig {
@@ -205,13 +221,16 @@ struct Slot<I: SocialNetworkInterface> {
     orig: usize,
     /// Index into the *admitted* job list (ledger/planner accounts).
     account: usize,
+    /// The shard whose client and clock serve this job.
+    shard: usize,
     session: SamplerSession<I>,
-    /// Distinct nodes this job's walk has visited — the shard-invariant
-    /// spend metric of the budget ledger (tracked only when budgeted).
-    demand: HashSet<NodeId>,
-    /// History prefix already folded into `demand`.
-    processed: usize,
-    /// Steps taken as of the last barrier (for calibration deltas).
+    /// Distinct nodes this job's walk has visited: the ledger's
+    /// shard-invariant spend and the causal trace's revisit filter
+    /// (tracked only when the ledger or the causal trace is on).
+    visited: HashSet<NodeId>,
+    /// History prefix already folded into `visited`.
+    folded: usize,
+    /// Steps taken as of the end of the last barrier.
     steps_seen: usize,
     /// Suspended by an exhausted ledger slice (resumes on re-grant).
     suspended: bool,
@@ -229,15 +248,18 @@ struct Slot<I: SocialNetworkInterface> {
 }
 
 impl<I: SocialNetworkInterface> Slot<I> {
-    /// Folds newly visited history into the demand set, returning the
-    /// cumulative unique demand.
-    fn refresh_demand(&mut self) -> u64 {
+    /// Folds newly walked history into `visited`, calling `fresh` on
+    /// each first visit in walk order; returns the cumulative unique
+    /// demand.
+    fn fold_visits(&mut self, mut fresh: impl FnMut(NodeId)) -> u64 {
         let history = self.session.walker().history();
-        for &v in &history[self.processed.min(history.len())..] {
-            self.demand.insert(v);
+        for &v in &history[self.folded.min(history.len())..] {
+            if self.visited.insert(v) {
+                fresh(v);
+            }
         }
-        self.processed = history.len();
-        self.demand.len() as u64
+        self.folded = history.len();
+        self.visited.len() as u64
     }
 
     fn done(&self) -> bool {
@@ -256,64 +278,38 @@ impl<I: SocialNetworkInterface> Slot<I> {
 /// byte-identical across shard counts — folded in ascending account
 /// order, so the traced edge multiset is shard-invariant and safe for
 /// the byte-identity contract.
+#[derive(Default)]
 struct CausalGossip {
     /// First account whose walk visited each node.
     first_owner: HashMap<NodeId, usize>,
-    /// Nodes each account's own walk already visited (revisits and
-    /// self-adoptions are never edges).
-    seen: Vec<HashSet<NodeId>>,
-    /// History prefix already folded, per account.
-    cursors: Vec<usize>,
+    /// Edges `(owner, adopter) → count` not yet traced.
+    pending: BTreeMap<(usize, usize), u64>,
     /// Total adoptions across all barriers.
     total: u64,
 }
 
 impl CausalGossip {
-    fn new(accounts: usize) -> Self {
-        CausalGossip {
-            first_owner: HashMap::new(),
-            seen: vec![HashSet::new(); accounts],
-            cursors: vec![0; accounts],
-            total: 0,
-        }
-    }
-
-    /// Folds every account's new history suffix (ascending account
-    /// order) and returns this barrier's adoption edges
-    /// `(owner, adopter, count)`, sorted by `(owner, adopter)`.
-    fn barrier(&mut self, histories: &[&[NodeId]]) -> Vec<(usize, usize, u64)> {
-        let mut edges: BTreeMap<(usize, usize), u64> = BTreeMap::new();
-        for (account, history) in histories.iter().enumerate() {
-            for &v in &history[self.cursors[account].min(history.len())..] {
-                if !self.seen[account].insert(v) {
-                    continue;
-                }
-                match self.first_owner.entry(v) {
-                    Entry::Vacant(slot) => {
-                        slot.insert(account);
-                    }
-                    Entry::Occupied(owner) => {
-                        let owner = *owner.get();
-                        if owner != account {
-                            *edges.entry((owner, account)).or_insert(0) += 1;
-                            self.total += 1;
-                        }
-                    }
-                }
+    /// `adopter`'s walk visited `v` for the first time. Its own revisits
+    /// never get here (the slot's `visited` set filters them), so any
+    /// earlier owner is another job.
+    fn visit(&mut self, adopter: usize, v: NodeId) {
+        match self.first_owner.entry(v) {
+            Entry::Vacant(owner) => {
+                owner.insert(adopter);
             }
-            self.cursors[account] = history.len();
+            Entry::Occupied(owner) => {
+                *self.pending.entry((*owner.get(), adopter)).or_insert(0) += 1;
+                self.total += 1;
+            }
         }
-        edges.into_iter().map(|((from, to), count)| (from, to, count)).collect()
     }
 }
 
-/// One shard worker: private client, private pipeline, private clock,
-/// and the slots of its assigned jobs.
+/// One shard worker: private client, private pipeline, private clock.
+/// Its jobs' slots live in the run state and are lent to it per epoch.
 struct Shard<I: SocialNetworkInterface> {
     client: SharedClient<I>,
     pipeline: QueryPipeline<I>,
-    /// Slots in ascending original-job order.
-    slots: Vec<Slot<I>>,
     /// Cached node ids at the last barrier (ascending) — the diff basis
     /// for "which nodes did *this shard pay for* this epoch".
     known: Vec<NodeId>,
@@ -321,7 +317,7 @@ struct Shard<I: SocialNetworkInterface> {
     /// [`FleetConfig::wall`]). The shard accumulates on its own thread;
     /// the coordinator takes and keys it after the barrier, so the hot
     /// path needs no locks and no knowledge of its epoch/shard index.
-    wall: Option<mto_obs::WallStats>,
+    wall: Option<WallStats>,
     error: Option<ServeError>,
 }
 
@@ -330,21 +326,21 @@ impl<I: SocialNetworkInterface> Shard<I> {
         self.known = self.client.with(|c| c.cached_nodes().collect());
     }
 
-    /// Advances every slot by its epoch grant, then replays the nodes
-    /// this shard newly paid for through its pipeline — the shard's
-    /// wall-clock bill for the epoch. Gossip-imported nodes are already
-    /// in `known` and cost no virtual time here: nobody re-pays them.
-    /// `grants` is indexed by ledger account.
-    fn run_epoch(&mut self, grants: &[usize]) {
-        let timer = self.wall.is_some().then(mto_obs::WallClockScope::start);
-        self.run_epoch_inner(grants);
+    /// Advances each of this shard's `slots` by its epoch grant, then
+    /// replays the nodes this shard newly paid for through its pipeline
+    /// — the shard's wall-clock bill for the epoch. Gossip-imported
+    /// nodes are already in `known` and cost no virtual time here:
+    /// nobody re-pays them. `grants` is indexed by ledger account.
+    fn run_epoch(&mut self, slots: Vec<&mut Slot<I>>, grants: &[usize]) {
+        let timer = self.wall.is_some().then(WallClockScope::start);
+        self.run_epoch_inner(slots, grants);
         if let (Some(wall), Some(timer)) = (self.wall.as_mut(), timer) {
             wall.absorb(timer.stop());
         }
     }
 
-    fn run_epoch_inner(&mut self, grants: &[usize]) {
-        for slot in &mut self.slots {
+    fn run_epoch_inner(&mut self, slots: Vec<&mut Slot<I>>, grants: &[usize]) {
+        for slot in slots {
             let steps = grants[slot.account];
             if steps == 0 {
                 continue;
@@ -406,817 +402,720 @@ where
         if jobs.is_empty() {
             return Ok(FleetReport { shards: 0, ..Default::default() });
         }
-        // Validate up front: admission and planning consume specs before
-        // any `SamplerSession::create` would (sessions validate on
-        // creation, but rejected/deferred jobs never reach one).
+        let num_users = (self.factory)(0).num_users_hint();
+        let mut run = FleetRun::admit(&self.config, self.warm_start.as_ref(), num_users, jobs)?;
+        run.build_shards(&self.factory)?;
+        while let Some(grants) = run.plan() {
+            run.step(&grants)?;
+            run.quality_barrier();
+            let mut report = run.settle();
+            run.gossip(&mut report)?;
+            run.close_epoch(report);
+        }
+        run.finalize()
+    }
+}
+
+/// One [`FleetCoordinator::run`] in flight: the state its phases share,
+/// from admission to the report.
+struct FleetRun<'a, I: SocialNetworkInterface> {
+    config: &'a FleetConfig,
+    warm_start: Option<&'a HistoryStore>,
+    jobs: Vec<JobSpec>,
+    decisions: Vec<AdmissionDecision>,
+    /// Submitted-job index of each ledger/planner account.
+    admitted: Vec<usize>,
+    predictor: CostPredictor,
+    planner: PlannerConfig,
+    ledger: Option<BudgetLedger>,
+    /// One fleet-wide quality accumulator. A job runs whole on one shard
+    /// and its series is a pure function of its walk, so the fold
+    /// commutes with sharding (`proptest_quality`).
+    quality: Option<QualityAccumulator>,
+    /// Trace and registry. Every trace event is emitted from the serial
+    /// phases, stamped with epoch-ordinal virtual time, and derived from
+    /// shard-invariant state only (grants, demand, ledger moves, step
+    /// counts) — so encoded traces are byte-identical across shard
+    /// counts. The registry additionally absorbs timing-plane figures
+    /// (queue-wait/service-time histograms, gossip savings) that
+    /// legitimately vary with `W`.
+    obs: Option<FleetObsData>,
+    /// Causal adoption edges: on iff obs and gossip are. `gossip =
+    /// false` runs isolated shards, so nothing is adopted — on any `W`.
+    causal: Option<CausalGossip>,
+    wall: Option<WallClockRegistry>,
+    shards: Vec<Shard<I>>,
+    /// Every admitted job's slot, in account order.
+    slots: Vec<Slot<I>>,
+    /// Consecutive epochs each account went ungranted (EDF aging).
+    starved: Vec<u32>,
+    /// Barriers crossed so far; `epochs.len()` is the current epoch.
+    epochs: Vec<EpochReport>,
+}
+
+impl<'a, I: SocialNetworkInterface + Send + Sync> FleetRun<'a, I> {
+    /// **Admit.** Validates every spec up front (rejected and deferred
+    /// jobs never reach a session, which would validate on creation),
+    /// reviews the jobs against their deadlines and the budget — a pure
+    /// function of (jobs, history, budget), so every `W` admits the same
+    /// set — splits the ledger over the admitted accounts, registers
+    /// their quality chains in account order, and traces the verdicts.
+    fn admit(
+        config: &'a FleetConfig,
+        warm_start: Option<&'a HistoryStore>,
+        num_users: Option<usize>,
+        jobs: Vec<JobSpec>,
+    ) -> Result<Self> {
         for spec in &jobs {
             spec.validate().map_err(|message| ServeError::Request { line: 0, message })?;
         }
-
-        // ── Admission: a pure function of (jobs, history, budget), so it
-        // commutes with sharding — every W sees the same admitted set.
-        let mut predictor = CostPredictor::new((self.factory)(0).num_users_hint());
-        if let Some(p) = &self.config.provider {
+        let mut predictor = CostPredictor::new(num_users);
+        if let Some(p) = &config.provider {
             predictor = predictor.with_provider(p);
         }
-        let decisions = AdmissionController::new(self.config.deadline_policy).review(
+        let decisions = AdmissionController::new(config.deadline_policy).review(
             &predictor,
             &jobs,
-            self.warm_start.as_ref(),
-            self.config.fleet_budget,
+            warm_start,
+            config.fleet_budget,
         );
         let admitted: Vec<usize> =
             decisions.iter().filter(|d| d.verdict.admitted()).map(|d| d.job_index).collect();
-        let mut ledger = self.config.fleet_budget.map(|budget| {
+        let ledger = config.fleet_budget.map(|budget| {
             let predicted: Vec<u64> =
                 admitted.iter().map(|&i| decisions[i].predicted_queries).collect();
             BudgetLedger::split(budget, &predicted)
         });
-        let budgeted = ledger.is_some();
-
-        // ── Quality plane: one fleet-wide accumulator. Jobs are
-        // registered in account order so the figures (and the trace
-        // stamps derived from the id-ordered iteration) cover every
-        // admitted job even before its first sample. Slot sample series
-        // are folded in at every barrier; because a job runs whole on
-        // one shard and its series is a pure function of its walk, the
-        // fold commutes with sharding (`proptest_quality`).
-        let mut quality = self.config.quality.then(mto_obs::quality::QualityAccumulator::new);
-        if let Some(acc) = quality.as_mut() {
+        let quality = config.quality.then(|| {
+            let mut acc = QualityAccumulator::new();
             for &orig in &admitted {
                 acc.register(&jobs[orig].id, jobs[orig].ess);
             }
+            acc
+        });
+        let mut obs = config.obs.then(FleetObsData::default);
+        for d in &decisions {
+            let verdict = d.verdict.name();
+            point(&mut obs, 0, format_args!("admission-{}-{verdict}", d.id), d.predicted_queries);
         }
-
-        // ── Observability. Every trace event below is emitted from this
-        // serial control path, stamped with epoch-ordinal virtual time,
-        // and derived from shard-invariant state only (grants, demand,
-        // ledger moves, step counts) — so encoded traces are
-        // byte-identical across shard counts. The registry additionally
-        // absorbs timing-plane figures (queue-wait/service-time
-        // histograms, gossip savings) that legitimately vary with `W`.
-        let mut obs = if self.config.obs { Some(FleetObsData::default()) } else { None };
-        if let Some(obs) = obs.as_mut() {
-            for d in &decisions {
-                obs.trace.point(
-                    0,
-                    &format!("admission-{}-{}", d.id, d.verdict.name()),
-                    d.predicted_queries,
-                );
-            }
-            if let Some(ledger) = ledger.as_ref() {
-                obs.trace.point(0, "ledger-split", ledger.total());
-                for (account, &orig) in admitted.iter().enumerate() {
-                    obs.trace.point(
-                        0,
-                        &format!("ledger-allowance-{}", jobs[orig].id),
-                        ledger.account(account).allowance,
-                    );
-                }
+        if let Some(ledger) = &ledger {
+            point(&mut obs, 0, format_args!("ledger-split"), ledger.total());
+            for (account, &orig) in admitted.iter().enumerate() {
+                let allowance = ledger.account(account).allowance;
+                point(&mut obs, 0, format_args!("ledger-allowance-{}", jobs[orig].id), allowance);
             }
         }
+        Ok(FleetRun {
+            config,
+            warm_start,
+            predictor,
+            planner: PlannerConfig { quantum: config.epoch_quantum.max(1), ..Default::default() },
+            ledger,
+            quality,
+            obs,
+            causal: (config.obs && config.gossip).then(CausalGossip::default),
+            wall: config.wall.then(WallClockRegistry::new),
+            shards: Vec::new(),
+            slots: Vec::with_capacity(admitted.len()),
+            starved: vec![0; admitted.len()],
+            epochs: Vec::new(),
+            jobs,
+            decisions,
+            admitted,
+        })
+    }
 
-        // Causal gossip edges are derived from walk histories (pure
-        // functions of the jobs), so they are W-invariant and safe to
-        // trace even though per-shard cache adoption counts are not.
-        // `gossip = false` runs isolated shards: nothing is adopted, so
-        // no edges are traced either — on any W.
-        let mut causal = if self.config.obs && self.config.gossip {
-            Some(CausalGossip::new(admitted.len()))
-        } else {
-            None
-        };
-
-        let plan = ShardPlan::round_robin(admitted.len(), self.config.shards);
-        let quantum = self.config.epoch_quantum.max(1);
-        let planner = PlannerConfig { quantum, ..Default::default() };
-
-        // Build shards up front, in shard order, slots in ascending
-        // admitted order — start-node queries charge deterministically.
-        let mut shards: Vec<Shard<I>> = Vec::with_capacity(plan.num_shards());
-        let mut slot_of_account: Vec<(usize, usize)> = vec![(0, 0); admitted.len()];
-        if !admitted.is_empty() {
-            for (s, positions) in plan.iter() {
-                let inner = (self.factory)(s);
-                let client = match &self.warm_start {
-                    Some(store) => SharedClient::new(store.warm_start(inner)?),
-                    None => SharedClient::new(CachedClient::new(inner)),
-                };
-                let mut pipeline = QueryPipeline::with_clock(
-                    (self.factory)(s),
-                    self.config.pipeline_config(s),
-                    VirtualClock::new(),
-                );
-                if self.config.obs {
-                    pipeline.enable_obs();
-                }
-                if self.config.wall {
-                    pipeline.enable_wall();
-                }
-                let mut slots = Vec::with_capacity(positions.len());
-                for &account in positions {
-                    let orig = admitted[account];
-                    slot_of_account[account] = (s, slots.len());
-                    slots.push(Slot {
-                        orig,
-                        account,
-                        session: SamplerSession::create(client.clone(), jobs[orig].clone())?,
-                        demand: HashSet::new(),
-                        processed: 0,
-                        steps_seen: 0,
-                        suspended: false,
-                        cut: false,
-                        finished_secs: None,
-                        observer: SampleObserver::new(),
-                        quality_met: false,
-                    });
-                }
-                let mut shard = Shard {
-                    client,
-                    pipeline,
-                    slots,
-                    known: Vec::new(),
-                    wall: self.config.wall.then(mto_obs::WallStats::default),
-                    error: None,
-                };
-                shard.refresh_known();
-                // The seed position is demand too: charge it before the
-                // first epoch so a zero-step job still bills its start.
-                if budgeted {
-                    for slot in &mut shard.slots {
-                        slot.refresh_demand();
-                    }
-                }
-                shards.push(shard);
-            }
+    /// **Build shards.** One shard per plan entry, in shard order, each
+    /// with its own (optionally warm-started) client, pipeline and clock;
+    /// sessions open in ascending account order, so start-node queries
+    /// charge deterministically. Then the seed charge: the start position
+    /// is demand too (a zero-step job still bills its start), and a walk
+    /// starting on a node another walk owns adopts it at epoch zero.
+    fn build_shards(&mut self, factory: &impl Fn(usize) -> I) -> Result<()> {
+        if self.admitted.is_empty() {
+            return Ok(());
         }
-        if let Some(ledger) = ledger.as_mut() {
-            for &(s, pos) in &slot_of_account {
-                let slot = &mut shards[s].slots[pos];
-                let demand = slot.demand.len() as u64;
-                if let Some(obs) = obs.as_mut() {
-                    if demand > 0 {
-                        obs.trace.point(
-                            0,
-                            &format!("ledger-charge-{}", slot.session.spec().id),
-                            demand,
-                        );
-                    }
-                }
-                if ledger.charge(slot.account, demand)
-                    && slot.session.state() != SessionState::Completed
-                {
-                    slot.suspended = true;
-                    slot.session.pause();
-                    if let Some(obs) = obs.as_mut() {
-                        obs.trace.point(0, &format!("suspend-{}", slot.session.spec().id), demand);
-                    }
-                }
-            }
-        }
-
-        // Seed positions are causal demand too: a job starting on (or
-        // instantly revisiting) a node another walk already owns adopts
-        // it from epoch zero, before any span opens.
-        if let (Some(obs), Some(causal)) = (obs.as_mut(), causal.as_mut()) {
-            let histories: Vec<&[NodeId]> = slot_of_account
-                .iter()
-                .map(|&(s, pos)| shards[s].slots[pos].session.walker().history())
-                .collect();
-            for (from, to, count) in causal.barrier(&histories) {
-                obs.trace.gossip(
-                    0,
-                    &format!("job-{}", jobs[admitted[from]].id),
-                    &format!("job-{}", jobs[admitted[to]].id),
-                    count,
-                );
-            }
-        }
-
-        // ── Epoch loop: planned grants, parallel stepping, serial QoS
-        // accounting and gossip at the barrier.
-        let mut wall =
-            if self.config.wall { Some(mto_obs::WallClockRegistry::new()) } else { None };
-        let mut epochs = Vec::new();
-        let mut total_adopted = 0u64;
-        let mut total_conflicts = 0u64;
-        let mut total_reclaimed = 0u64;
-        let mut total_granted = 0u64;
-        let mut starved: Vec<u32> = vec![0; admitted.len()];
-        let mut released: Vec<bool> = vec![false; admitted.len()];
-        let mut epoch = 0usize;
-        loop {
-            // The planner's view of every admitted job, by account.
-            let live: Vec<LiveJob> = slot_of_account
-                .iter()
-                .map(|&(s, pos)| {
-                    let slot = &shards[s].slots[pos];
-                    LiveJob {
-                        remaining_steps: if slot.done() {
-                            0
-                        } else {
-                            slot.session.steps_remaining()
-                        },
-                        deadline: slot.session.spec().deadline,
-                        starved_epochs: starved[slot.account],
-                        suspended: slot.suspended,
-                    }
-                })
-                .collect();
-            let any_open = live.iter().any(|j| j.remaining_steps > 0);
-            if !any_open {
-                break;
-            }
-            let any_runnable = live.iter().any(|j| !j.suspended && j.remaining_steps > 0);
-            if !any_runnable {
-                // Every remaining job is suspended on an empty pool (a
-                // rebalance ran at the last barrier): cut them.
-                for &(s, pos) in &slot_of_account {
-                    let cut_at = shards[s].pipeline.clock().now();
-                    let slot = &mut shards[s].slots[pos];
-                    if slot.suspended && !slot.done() {
-                        slot.cut = true;
-                        slot.finished_secs = Some(cut_at);
-                        if let Some(obs) = obs.as_mut() {
-                            obs.trace.point(
-                                epoch_t_us(epoch),
-                                &format!("cut-{}", slot.session.spec().id),
-                                slot.session.steps_taken() as u64,
-                            );
-                        }
-                    }
-                }
-                break;
-            }
-            let grants = plan_epoch(self.config.policy, &planner, &live);
-            for (account, job) in live.iter().enumerate() {
-                if !job.suspended && job.remaining_steps > 0 {
-                    starved[account] = if grants[account] == 0 { starved[account] + 1 } else { 0 };
-                }
-            }
-
-            let mut steps_before: Vec<usize> = Vec::new();
-            let mut epoch_steps = 0u64;
-            if let Some(obs) = obs.as_mut() {
-                let t = epoch_t_us(epoch);
-                obs.trace.enter(t, &format!("epoch-{epoch}"));
-                for (account, job) in live.iter().enumerate() {
-                    if grants[account] == 0 {
-                        continue;
-                    }
-                    let (s, pos) = slot_of_account[account];
-                    let id = &shards[s].slots[pos].session.spec().id;
-                    obs.trace.point(t, &format!("grant-{id}"), grants[account] as u64);
-                    // An EDF aging promotion is visible in the plan's own
-                    // inputs: a job starved past the threshold that got a
-                    // grant this epoch was promoted ahead of every
-                    // deadline.
-                    if self.config.policy == SchedulePolicy::EarliestDeadlineFirst
-                        && job.starved_epochs >= planner.aging_epochs
-                    {
-                        obs.trace.point(
-                            t,
-                            &format!("aging-promotion-{id}"),
-                            u64::from(job.starved_epochs),
-                        );
-                    }
-                }
-                steps_before = slot_of_account
-                    .iter()
-                    .map(|&(s, pos)| shards[s].slots[pos].session.steps_taken())
-                    .collect();
-            }
-
-            let section_timer = wall.is_some().then(mto_obs::WallClockScope::start);
-            std::thread::scope(|scope| {
-                for shard in shards.iter_mut() {
-                    let grants = &grants;
-                    scope.spawn(move || shard.run_epoch(grants));
-                }
-            });
-            if let Some(timer) = section_timer {
-                let section = timer.stop();
-                let wall = wall.as_mut().expect("section timer implies wall plane");
-                // Each shard self-timed its service; the coordinator keys
-                // it now that the epoch and shard index are known. The
-                // barrier's own cost is what the parallel section took
-                // beyond the slowest shard: spawn/join overhead plus the
-                // lockstep wait every faster shard paid.
-                let mut slowest = 0u64;
-                for (s, shard) in shards.iter_mut().enumerate() {
-                    if let Some(service) = shard.wall.replace(mto_obs::WallStats::default()) {
-                        slowest = slowest.max(service.nanos);
-                        wall.record(
-                            mto_obs::WallKey::phase("shard-service")
-                                .at_epoch(epoch as u64)
-                                .on_shard(s as u64),
-                            service,
-                        );
-                    }
-                }
-                wall.record(
-                    mto_obs::WallKey::phase("barrier-wait").at_epoch(epoch as u64),
-                    mto_obs::WallStats {
-                        count: 1,
-                        nanos: section.nanos.saturating_sub(slowest),
-                        allocs: 0,
-                        bytes: 0,
-                    },
-                );
-            }
-            for shard in &mut shards {
-                if let Some(e) = shard.error.take() {
-                    return Err(e);
-                }
-            }
-
-            if let Some(obs) = obs.as_mut() {
-                let t = epoch_t_us(epoch);
-                // One span per job that ran, nested under the epoch span,
-                // weighted by the steps it actually took — the virtual
-                // work `trace2flame` folds into `epoch-N;job-id` rows.
-                for (account, &(s, pos)) in slot_of_account.iter().enumerate() {
-                    let slot = &shards[s].slots[pos];
-                    let delta = (slot.session.steps_taken() - steps_before[account]) as u64;
-                    if delta > 0 {
-                        epoch_steps += delta;
-                        obs.trace.enter(t, &format!("job-{}", slot.session.spec().id));
-                        obs.trace.exit(t, delta);
-                    }
-                }
-                // Per-shard epoch registries folded into the fleet
-                // registry at the barrier — the metrics analogue of the
-                // history gossip (merge is associative and commutative,
-                // so the fold order cannot matter).
-                for shard in shards.iter_mut() {
-                    let mut shard_reg = MetricsRegistry::new();
-                    if let Some(po) = shard.pipeline.take_obs() {
-                        shard_reg.inc("pipeline-completions", po.service_time_us.count());
-                        shard_reg.merge_histogram("queue-wait-us", &po.queue_wait_us);
-                        shard_reg.merge_histogram("service-time-us", &po.service_time_us);
-                        shard.pipeline.enable_obs();
-                    }
-                    obs.registry.merge(&shard_reg);
-                }
-            }
-
-            // ── Quality barrier: fold every slot's fresh sample series
-            // (the degree of each node its walk visited this epoch)
-            // into the fleet accumulator, shards in the gossip merge
-            // order. Jobs are disjoint across shards and every figure
-            // is job-local, so — like the history gossip — the fold
-            // order cannot change a single figure.
-            if let Some(acc) = quality.as_mut() {
-                let shard_order: Vec<usize> = match self.config.merge_order {
-                    MergeOrder::Forward => (0..shards.len()).collect(),
-                    MergeOrder::Reverse => (0..shards.len()).rev().collect(),
-                };
-                for s in shard_order {
-                    for slot in &mut shards[s].slots {
-                        let samples = slot.observer.drain(&slot.session);
-                        acc.observe(&slot.session.spec().id, &samples);
-                    }
-                }
-                // Stamp the epoch's figures into the trace (id order,
-                // inside the epoch span): per-job ESS, the Geweke z
-                // once the window splits, then the fleet R-hat —
-                // exactly what `trace2mix` folds into trajectories.
-                if let Some(obs) = obs.as_mut() {
-                    let t = epoch_t_us(epoch);
-                    for (id, jq) in acc.jobs() {
-                        let ess = mto_obs::quality::scale_milli(jq.ess());
-                        obs.trace.point(t, &format!("quality-ess-{id}"), ess);
-                        if let Some(z) = jq.geweke_z() {
-                            let z = mto_obs::quality::scale_milli(z);
-                            obs.trace.point(t, &format!("quality-z-{id}"), z);
-                        }
-                    }
-                    if let Some(rhat) = acc.rhat() {
-                        obs.trace.point(t, "quality-rhat", mto_obs::quality::scale_milli(rhat));
-                    }
-                }
-                // Early stop, in account order: a job whose `ess=N` SLO
-                // latched is converged — pause it so the planner stops
-                // granting its quanta. The ledger block below treats it
-                // as finished, releasing its unspent slice to the pool
-                // at this same barrier.
-                for &(s, pos) in &slot_of_account {
-                    let slot = &mut shards[s].slots[pos];
-                    if slot.done() {
-                        continue;
-                    }
-                    let id = slot.session.spec().id.clone();
-                    let Some(jq) = acc.job(&id) else { continue };
-                    if jq.met() {
-                        slot.quality_met = true;
-                        slot.session.pause();
-                        if let Some(obs) = obs.as_mut() {
-                            obs.trace.point(
-                                epoch_t_us(epoch),
-                                &format!("quality-met-{id}"),
-                                mto_obs::quality::scale_milli(jq.ess()),
-                            );
-                        }
-                    }
-                }
-            }
-
-            let mut report = EpochReport {
-                epoch,
-                fleet_unique_queries: shards
-                    .iter()
-                    .map(|s| s.client.with(|c| c.unique_queries()))
-                    .sum(),
-                makespan_secs: shards.iter().map(|s| s.pipeline.clock().now()).fold(0.0, f64::max),
-                ..Default::default()
+        let plan = ShardPlan::round_robin(self.admitted.len(), self.config.shards);
+        for (s, accounts) in plan.iter() {
+            let client = match self.warm_start {
+                Some(store) => SharedClient::new(store.warm_start(factory(s))?),
+                None => SharedClient::new(CachedClient::new(factory(s))),
             };
-
-            // ── Barrier QoS accounting, in account order (serial, and a
-            // pure function of job-local state — shard-invariant).
-            if let Some(ledger) = ledger.as_mut() {
-                let mut finished: Vec<usize> = Vec::new();
-                let mut claims: Vec<(usize, u64)> = Vec::new();
-                for &(s, pos) in &slot_of_account {
-                    let now_secs = shards[s].pipeline.clock().now();
-                    let slot = &mut shards[s].slots[pos];
-                    let demand = slot.refresh_demand();
-                    let steps_now = slot.session.steps_taken();
-                    let demand_before = ledger.account(slot.account).spent;
-                    let exhausted = ledger.charge(slot.account, demand);
-                    predictor.observe(
-                        slot.session.spec().algo.name(),
-                        (steps_now - slot.steps_seen) as u64,
-                        demand.saturating_sub(demand_before),
-                    );
-                    slot.steps_seen = steps_now;
-                    if let Some(obs) = obs.as_mut() {
-                        let charged = demand.saturating_sub(demand_before);
-                        if charged > 0 {
-                            obs.trace.point(
-                                epoch_t_us(epoch),
-                                &format!("ledger-charge-{}", slot.session.spec().id),
-                                charged,
-                            );
-                        }
-                    }
-                    if slot.session.state() == SessionState::Completed || slot.quality_met {
-                        // Quality-met jobs finish here too: their SLO
-                        // latch already marked the convergence in the
-                        // trace, so only true completions get a
-                        // `finish-` point, but both release their
-                        // unspent slice to the pool.
-                        if !released[slot.account] {
-                            released[slot.account] = true;
-                            finished.push(slot.account);
-                            slot.finished_secs.get_or_insert(now_secs);
-                            if let Some(obs) = obs.as_mut() {
-                                if slot.session.state() == SessionState::Completed {
-                                    obs.trace.point(
-                                        epoch_t_us(epoch),
-                                        &format!("finish-{}", slot.session.spec().id),
-                                        steps_now as u64,
-                                    );
-                                }
-                            }
-                        }
-                    } else if exhausted && !slot.suspended {
-                        slot.suspended = true;
-                        slot.session.pause();
-                        if let Some(obs) = obs.as_mut() {
-                            obs.trace.point(
-                                epoch_t_us(epoch),
-                                &format!("suspend-{}", slot.session.spec().id),
-                                demand,
-                            );
-                        }
-                    }
-                    if slot.suspended && !slot.done() {
-                        // Claim what the rest of the walk is predicted to
-                        // demand, judged against the *static* warm store
-                        // so the claim is shard-invariant — PLUS the
-                        // overshoot already spent past the allowance: a
-                        // grant that ignored it could cover the predicted
-                        // remainder yet leave the account exhausted, and
-                        // the job would be cut with budget still pooled.
-                        let account = ledger.account(slot.account);
-                        let overshoot = account.spent.saturating_sub(account.allowance);
-                        let want = predictor.predict_remaining_queries(
-                            slot.session.spec(),
-                            slot.session.steps_remaining(),
-                            self.warm_start.as_ref(),
-                        );
-                        claims.push((slot.account, overshoot + want.max(1)));
-                    }
-                }
-                let outcome = ledger.rebalance(&finished, &claims);
-                report.ledger_reclaimed = outcome.reclaimed;
-                report.ledger_granted = outcome.granted;
-                total_reclaimed += outcome.reclaimed;
-                total_granted += outcome.granted;
-                if let Some(obs) = obs.as_mut() {
-                    if outcome.reclaimed > 0 {
-                        obs.trace.point(epoch_t_us(epoch), "ledger-reclaimed", outcome.reclaimed);
-                    }
-                    if outcome.granted > 0 {
-                        obs.trace.point(epoch_t_us(epoch), "ledger-granted", outcome.granted);
-                    }
-                }
-                // Re-granted slices resume their jobs.
-                for &(account, _) in &claims {
-                    let (s, pos) = slot_of_account[account];
-                    let slot = &mut shards[s].slots[pos];
-                    if slot.suspended && !ledger.account(account).exhausted() {
-                        slot.suspended = false;
-                        slot.session.resume_stepping();
-                        if let Some(obs) = obs.as_mut() {
-                            obs.trace.point(
-                                epoch_t_us(epoch),
-                                &format!("resume-{}", slot.session.spec().id),
-                                ledger.account(account).allowance,
-                            );
-                        }
-                    }
-                }
-            } else {
-                // Unbudgeted: only completion times need recording
-                // (quality-met jobs finish here too; their convergence
-                // is already marked by the `quality-met-` point).
-                for &(s, pos) in &slot_of_account {
-                    let now_secs = shards[s].pipeline.clock().now();
-                    let slot = &mut shards[s].slots[pos];
-                    if slot.session.state() == SessionState::Completed || slot.quality_met {
-                        if slot.finished_secs.is_none()
-                            && slot.session.state() == SessionState::Completed
-                        {
-                            if let Some(obs) = obs.as_mut() {
-                                obs.trace.point(
-                                    epoch_t_us(epoch),
-                                    &format!("finish-{}", slot.session.spec().id),
-                                    slot.session.steps_taken() as u64,
-                                );
-                            }
-                        }
-                        slot.finished_secs.get_or_insert(now_secs);
-                    }
-                }
+            let pipeline_config = self.config.pipeline_config(s);
+            let mut pipeline =
+                QueryPipeline::with_clock(factory(s), pipeline_config, VirtualClock::new());
+            if self.config.obs {
+                pipeline.enable_obs();
             }
-
-            if self.config.gossip && shards.len() > 1 {
-                let timer = wall.is_some().then(mto_obs::WallClockScope::start);
-                let stores: Vec<HistoryStore> = shards
-                    .iter()
-                    .map(|s| s.client.with(|c| HistoryStore::from_client(c)))
-                    .collect();
-                let (union, conflicts) = fold_stores(&stores, self.config.merge_order)?;
-                for (shard, store) in shards.iter_mut().zip(&stores) {
-                    let adopted = union.num_responses() - store.num_responses();
-                    report.adopted_responses += adopted as u64;
-                    if adopted > 0 {
-                        shard.client.with(|c| c.import_entries(&union.cache));
-                        shard.refresh_known();
-                    }
-                }
-                report.merge_conflicts = conflicts;
-                total_adopted += report.adopted_responses;
-                total_conflicts += conflicts;
-                if let (Some(wall), Some(timer)) = (wall.as_mut(), timer) {
-                    timer.stop_into(
-                        wall,
-                        mto_obs::WallKey::phase("gossip-merge").at_epoch(epoch as u64),
-                    );
-                }
+            if self.config.wall {
+                pipeline.enable_wall();
             }
-            if let Some(obs) = obs.as_mut() {
-                // Gossip savings are a W-dependent figure: registry only,
-                // never the trace.
-                obs.registry.inc("gossip-adopted-responses", report.adopted_responses);
-                obs.registry.inc("gossip-merge-conflicts", report.merge_conflicts);
-                obs.registry.inc("walk-steps", epoch_steps);
-                // The causal (W-invariant) face of the same barrier:
-                // which job's walk adopted nodes first paid for by
-                // another job's walk, emitted inside the epoch span so
-                // the analysis layer can stamp the edge with its epoch.
-                if let Some(causal) = causal.as_mut() {
-                    let histories: Vec<&[NodeId]> = slot_of_account
-                        .iter()
-                        .map(|&(s, pos)| shards[s].slots[pos].session.walker().history())
-                        .collect();
-                    for (from, to, count) in causal.barrier(&histories) {
-                        obs.trace.gossip(
-                            epoch_t_us(epoch),
-                            &format!("job-{}", jobs[admitted[from]].id),
-                            &format!("job-{}", jobs[admitted[to]].id),
-                            count,
-                        );
-                    }
-                }
-                // Exit cost 0: the epoch's work is already attributed to
-                // the nested job spans (the fold treats exit cost as
-                // *self* weight, so a nonzero epoch cost would double
-                // count).
-                obs.trace.exit(epoch_t_us(epoch), 0);
+            for &account in accounts {
+                let orig = self.admitted[account];
+                self.slots.push(Slot {
+                    orig,
+                    account,
+                    shard: s,
+                    session: SamplerSession::create(client.clone(), self.jobs[orig].clone())?,
+                    visited: HashSet::new(),
+                    folded: 0,
+                    steps_seen: 0,
+                    suspended: false,
+                    cut: false,
+                    finished_secs: None,
+                    observer: SampleObserver::new(),
+                    quality_met: false,
+                });
             }
-            epochs.push(report);
-            epoch += 1;
+            let wall = self.config.wall.then(WallStats::default);
+            let mut shard = Shard { client, pipeline, known: Vec::new(), wall, error: None };
+            shard.refresh_known();
+            self.shards.push(shard);
         }
-        if let Some(obs) = obs.as_mut() {
-            // In-trace self-check: `trace2critpath` cross-checks the
-            // epoch count it reconstructs against this final point.
-            obs.trace.point(epoch_t_us(epochs.len()), "fleet-epochs", epochs.len() as u64);
+        self.slots.sort_by_key(|slot| slot.account);
+        for account in 0..self.slots.len() {
+            if self.charge(account, 0)
+                && self.slots[account].session.state() != SessionState::Completed
+            {
+                self.suspend(account, 0);
+            }
         }
+        self.trace_adoptions(0);
+        Ok(())
+    }
 
-        // Final quality drain (idempotent — the observer cursor makes a
-        // re-drain of already-folded history a no-op): covers runs that
-        // never crossed a barrier, e.g. zero-step jobs whose only sample
-        // is the seed position.
-        if let Some(acc) = quality.as_mut() {
-            for &(s, pos) in &slot_of_account {
-                let slot = &mut shards[s].slots[pos];
+    /// **Plan.** `None` once every job is done — or once every open job
+    /// is suspended on an empty pool (a rebalance ran at the last
+    /// barrier), after cutting them. Otherwise deals the epoch's grants
+    /// (by account), ages the starved, opens the epoch span and traces
+    /// the grants.
+    fn plan(&mut self) -> Option<Vec<usize>> {
+        let t = epoch_t_us(self.epochs.len());
+        let live: Vec<LiveJob> = self
+            .slots
+            .iter()
+            .map(|slot| LiveJob {
+                remaining_steps: if slot.done() { 0 } else { slot.session.steps_remaining() },
+                deadline: slot.session.spec().deadline,
+                starved_epochs: self.starved[slot.account],
+                suspended: slot.suspended,
+            })
+            .collect();
+        if !live.iter().any(|j| j.remaining_steps > 0) {
+            return None;
+        }
+        if !live.iter().any(|j| !j.suspended && j.remaining_steps > 0) {
+            for slot in &mut self.slots {
+                if slot.suspended && !slot.done() {
+                    slot.cut = true;
+                    slot.finished_secs = Some(self.shards[slot.shard].pipeline.clock().now());
+                    let steps = slot.session.steps_taken() as u64;
+                    point(&mut self.obs, t, format_args!("cut-{}", slot.session.spec().id), steps);
+                }
+            }
+            return None;
+        }
+        let grants = plan_epoch(self.config.policy, &self.planner, &live);
+        for (account, job) in live.iter().enumerate() {
+            if !job.suspended && job.remaining_steps > 0 {
+                self.starved[account] =
+                    if grants[account] == 0 { self.starved[account] + 1 } else { 0 };
+            }
+        }
+        if let Some(obs) = self.obs.as_mut() {
+            obs.trace.enter(t, &format!("epoch-{}", self.epochs.len()));
+        }
+        let edf = self.config.policy == SchedulePolicy::EarliestDeadlineFirst;
+        for (slot, job) in self.slots.iter().zip(&live) {
+            let granted = grants[slot.account] as u64;
+            if granted == 0 {
+                continue;
+            }
+            let id = &slot.session.spec().id;
+            point(&mut self.obs, t, format_args!("grant-{id}"), granted);
+            // An EDF aging promotion is visible in the plan's own inputs:
+            // a job starved past the threshold that got a grant this
+            // epoch was promoted ahead of every deadline.
+            if edf && job.starved_epochs >= self.planner.aging_epochs {
+                let starved = u64::from(job.starved_epochs);
+                point(&mut self.obs, t, format_args!("aging-promotion-{id}"), starved);
+            }
+        }
+        Some(grants)
+    }
+
+    /// **Step.** Every shard advances its slots by their grants on its
+    /// own [`std::thread::scope`] worker. Then, serially: the wall plane
+    /// keys each shard's self-timed service, one trace span per job that
+    /// ran (weighted by the steps it took — the virtual work `trace2flame`
+    /// folds into `epoch-N;job-id` rows), and the per-shard pipeline
+    /// registries fold into the fleet registry (merge is associative and
+    /// commutative, so the fold order cannot matter).
+    fn step(&mut self, grants: &[usize]) -> Result<()> {
+        let section = self.wall.is_some().then(WallClockScope::start);
+        let mut lanes: Vec<Vec<&mut Slot<I>>> = self.shards.iter().map(|_| Vec::new()).collect();
+        for slot in &mut self.slots {
+            lanes[slot.shard].push(slot);
+        }
+        std::thread::scope(|scope| {
+            for (shard, slots) in self.shards.iter_mut().zip(lanes) {
+                scope.spawn(move || shard.run_epoch(slots, grants));
+            }
+        });
+        let epoch = self.epochs.len();
+        if let (Some(wall), Some(timer)) = (self.wall.as_mut(), section) {
+            let section = timer.stop();
+            // The barrier's own cost is what the parallel section took
+            // beyond the slowest shard: spawn/join overhead plus the
+            // lockstep wait every faster shard paid.
+            let mut slowest = 0u64;
+            for (s, shard) in self.shards.iter_mut().enumerate() {
+                if let Some(service) = shard.wall.replace(WallStats::default()) {
+                    slowest = slowest.max(service.nanos);
+                    let key = WallKey::phase("shard-service").at_epoch(epoch as u64);
+                    wall.record(key.on_shard(s as u64), service);
+                }
+            }
+            let nanos = section.nanos.saturating_sub(slowest);
+            wall.record(
+                WallKey::phase("barrier-wait").at_epoch(epoch as u64),
+                WallStats { count: 1, nanos, allocs: 0, bytes: 0 },
+            );
+        }
+        for shard in &mut self.shards {
+            if let Some(e) = shard.error.take() {
+                return Err(e);
+            }
+        }
+        let Some(obs) = self.obs.as_mut() else { return Ok(()) };
+        let t = epoch_t_us(epoch);
+        for slot in &self.slots {
+            let delta = (slot.session.steps_taken() - slot.steps_seen) as u64;
+            if delta > 0 {
+                obs.trace.enter(t, &format!("job-{}", slot.session.spec().id));
+                obs.trace.exit(t, delta);
+            }
+        }
+        for shard in &mut self.shards {
+            let mut shard_reg = MetricsRegistry::new();
+            if let Some(po) = shard.pipeline.take_obs() {
+                shard_reg.inc("pipeline-completions", po.service_time_us.count());
+                shard_reg.merge_histogram("queue-wait-us", &po.queue_wait_us);
+                shard_reg.merge_histogram("service-time-us", &po.service_time_us);
+                shard.pipeline.enable_obs();
+            }
+            obs.registry.merge(&shard_reg);
+        }
+        Ok(())
+    }
+
+    /// Folds every job's fresh samples into the quality accumulator, in
+    /// account order (per-job folds commute). Idempotent: the observer
+    /// cursor makes a re-drain of folded history a no-op.
+    fn drain_quality(&mut self) {
+        if let Some(acc) = self.quality.as_mut() {
+            for slot in &mut self.slots {
                 let samples = slot.observer.drain(&slot.session);
                 acc.observe(&slot.session.spec().id, &samples);
             }
         }
+    }
 
-        // ── Finalize outcomes in submission order: run slots first, then
-        // placeholders for jobs admission kept off the fleet.
-        let mut indexed: Vec<(usize, JobOutcome)> = Vec::with_capacity(jobs.len());
-        let mut aggregate_stats = RewireStats::default();
-        let mut cut_jobs = 0u64;
-        for shard in &mut shards {
-            for slot in &mut shard.slots {
-                let mut outcome = finalize_session(&mut slot.session, !slot.cut)?;
-                outcome.finished_secs = slot.finished_secs;
-                // A quality-met job stopped early *because it met its
-                // goal*: it completes by SLO even though its session
-                // never exhausted the step budget.
-                if slot.quality_met {
-                    outcome.completed = true;
-                }
-                if slot.cut {
-                    cut_jobs += 1;
-                }
-                if let Some(s) = outcome.stats {
-                    aggregate_stats += s;
-                }
-                indexed.push((slot.orig, outcome));
-            }
-        }
-        for d in &decisions {
-            if !d.verdict.admitted() {
-                let spec = &jobs[d.job_index];
-                indexed.push((
-                    d.job_index,
-                    JobOutcome {
-                        id: spec.id.clone(),
-                        algorithm: spec.algo.name(),
-                        steps: 0,
-                        completed: false,
-                        final_node: spec.start,
-                        history: Vec::new(),
-                        stats: None,
-                        scan: None,
-                        mh: None,
-                        avg_degree_estimate: None,
-                        finished_secs: None,
-                    },
-                ));
-            }
-        }
-        indexed.sort_unstable_by_key(|(j, _)| *j);
-
-        // The fleet-wide union store: every shard's cache plus every
-        // rewiring walker's overlay delta (in submission order).
-        let stores: Vec<HistoryStore> =
-            shards.iter().map(|s| s.client.with(|c| HistoryStore::from_client(c))).collect();
-        let (mut union, fold_conflicts) = fold_stores(&stores, self.config.merge_order)?;
-        total_conflicts += fold_conflicts;
-        for shard in &shards {
-            for slot in &shard.slots {
-                if let Some(delta) = slot.session.walker().overlay() {
-                    let overlay_only = HistoryStore {
-                        removed: delta.removed_edges().map(|e| (e.small(), e.large())).collect(),
-                        added: delta.added_edges().map(|e| (e.small(), e.large())).collect(),
-                        ..Default::default()
-                    };
-                    let outcome =
-                        union.merge(&overlay_only).map_err(ServeError::SnapshotMismatch)?;
-                    total_conflicts += outcome.conflicts;
+    /// **Barrier: quality.** Folds each job's fresh sample series (the
+    /// degree of each node its walk visited this epoch), stamps the
+    /// epoch's figures into the trace in id order — per-job ESS, the
+    /// Geweke z once the window splits, then the fleet R-hat, exactly
+    /// what `trace2mix` folds into trajectories — and latches `ess=N`
+    /// SLOs in account order: a converged job pauses so the planner
+    /// stops granting it, and settle releases its unspent slice at this
+    /// same barrier.
+    fn quality_barrier(&mut self) {
+        self.drain_quality();
+        let Some(acc) = self.quality.as_ref() else { return };
+        let t = epoch_t_us(self.epochs.len());
+        if self.obs.is_some() {
+            for (id, jq) in acc.jobs() {
+                point(&mut self.obs, t, format_args!("quality-ess-{id}"), scale_milli(jq.ess()));
+                if let Some(z) = jq.geweke_z() {
+                    point(&mut self.obs, t, format_args!("quality-z-{id}"), scale_milli(z));
                 }
             }
+            if let Some(rhat) = acc.rhat() {
+                point(&mut self.obs, t, format_args!("quality-rhat"), scale_milli(rhat));
+            }
         }
-
-        // Fleet-wide pipeline counters (satellite surface for the
-        // adaptive-concurrency ramps and token-bucket stalls).
-        let mut pipeline_stats = PipelineStats::default();
-        for shard in &shards {
-            let s = shard.pipeline.stats();
-            pipeline_stats.submitted += s.submitted;
-            pipeline_stats.completed += s.completed;
-            pipeline_stats.timeouts += s.timeouts;
-            pipeline_stats.rate_limit_stalls += s.rate_limit_stalls;
-            pipeline_stats.transient_retries += s.transient_retries;
-            pipeline_stats.ramp_ups += s.ramp_ups;
-            pipeline_stats.ramp_downs += s.ramp_downs;
-            pipeline_stats.latency_backoffs += s.latency_backoffs;
+        for slot in &mut self.slots {
+            if slot.done() {
+                continue;
+            }
+            let id = &slot.session.spec().id;
+            let Some(jq) = acc.job(id).filter(|jq| jq.met()) else { continue };
+            point(&mut self.obs, t, format_args!("quality-met-{id}"), scale_milli(jq.ess()));
+            slot.quality_met = true;
+            slot.session.pause();
         }
+    }
 
-        // Final registry fill: walker telemetry (deterministic plane,
-        // summed over jobs in submission order) plus cache/arena figures
-        // (W-dependent: per-shard caches diverge with the shard count).
-        if let Some(obs) = obs.as_mut() {
-            // A nonzero underflow count means an exit was submitted with
-            // no open span — an instrumentation bug the metrics surface
-            // must report rather than silently drop.
-            let underflows = obs.trace.underflows();
-            let reg = &mut obs.registry;
-            reg.inc("trace-underflows", underflows);
-            reg.inc("gossip-causal-adoptions", causal.as_ref().map_or(0, |c| c.total));
-            reg.inc("unique-nodes-crawled", union.num_responses() as u64);
-            for shard in &shards {
-                reg.inc("total-lookups", shard.client.with(|c| c.total_lookups()));
-                reg.inc("transient-retries", shard.client.with(|c| c.transient_retries()));
-                reg.inc(
-                    "arena-rewrites-in-place",
-                    shard.client.with(|c| c.arena().rewrites_in_place()),
+    /// The charge step, at seed and at every barrier: folds the job's
+    /// newly visited nodes (feeding the causal trace) and bills its
+    /// cumulative unique demand to the ledger, tracing the new spend.
+    /// Only walked steps calibrate the predictor — the seed's start-node
+    /// query is not a step. Returns whether the job's slice is exhausted
+    /// (never, unbudgeted).
+    fn charge(&mut self, account: usize, t: u64) -> bool {
+        if self.ledger.is_none() && self.causal.is_none() {
+            return false;
+        }
+        let slot = &mut self.slots[account];
+        let causal = &mut self.causal;
+        let demand = slot.fold_visits(|v| {
+            if let Some(causal) = causal.as_mut() {
+                causal.visit(account, v);
+            }
+        });
+        let Some(ledger) = self.ledger.as_mut() else { return false };
+        let charged = demand.saturating_sub(ledger.account(account).spent);
+        let exhausted = ledger.charge(account, demand);
+        let steps = (slot.session.steps_taken() - slot.steps_seen) as u64;
+        if steps > 0 {
+            self.predictor.observe(slot.session.spec().algo.name(), steps, charged);
+        }
+        if charged > 0 {
+            let id = &slot.session.spec().id;
+            point(&mut self.obs, t, format_args!("ledger-charge-{id}"), charged);
+        }
+        exhausted
+    }
+
+    /// Pauses a job whose ledger slice ran dry until a rebalance refills
+    /// it.
+    fn suspend(&mut self, account: usize, t: u64) {
+        let slot = &mut self.slots[account];
+        slot.suspended = true;
+        slot.session.pause();
+        let demand = slot.visited.len() as u64;
+        point(&mut self.obs, t, format_args!("suspend-{}", slot.session.spec().id), demand);
+    }
+
+    /// **Barrier: settle.** Per job, in account order (serial, and a pure
+    /// function of job-local state — shard-invariant): charge the ledger,
+    /// stamp the finish time of a job that completed or met its SLO
+    /// (only true completions get a `finish-` point; the SLO latch is
+    /// already traced), suspend a dry slice, and claim what a suspended
+    /// walk still needs. Then rebalance the ledger and resume the jobs it
+    /// re-granted. Unbudgeted runs only stamp finish times. Returns the
+    /// epoch's report, bill and makespan taken before the gossip.
+    fn settle(&mut self) -> EpochReport {
+        let t = epoch_t_us(self.epochs.len());
+        let (fleet_unique_queries, makespan_secs) = self.bill_and_makespan();
+        let mut report = EpochReport {
+            epoch: self.epochs.len(),
+            fleet_unique_queries,
+            makespan_secs,
+            ..Default::default()
+        };
+        let mut finished: Vec<usize> = Vec::new();
+        let mut claims: Vec<(usize, u64)> = Vec::new();
+        for account in 0..self.slots.len() {
+            let exhausted = self.charge(account, t);
+            let slot = &mut self.slots[account];
+            let completed = slot.session.state() == SessionState::Completed;
+            if completed || slot.quality_met {
+                if slot.finished_secs.is_none() {
+                    finished.push(account);
+                    slot.finished_secs = Some(self.shards[slot.shard].pipeline.clock().now());
+                    if completed {
+                        let steps = slot.session.steps_taken() as u64;
+                        let id = &slot.session.spec().id;
+                        point(&mut self.obs, t, format_args!("finish-{id}"), steps);
+                    }
+                }
+            } else if exhausted && !slot.suspended {
+                self.suspend(account, t);
+            }
+            let slot = &self.slots[account];
+            let Some(ledger) = &self.ledger else { continue };
+            if slot.suspended && !slot.done() {
+                // Claim what the rest of the walk is predicted to demand,
+                // judged against the *static* warm store so the claim is
+                // shard-invariant — PLUS the overshoot already spent past
+                // the allowance: a grant that ignored it could cover the
+                // predicted remainder yet leave the account exhausted, and
+                // the job would be cut with budget still pooled.
+                let slice = ledger.account(account);
+                let overshoot = slice.spent.saturating_sub(slice.allowance);
+                let want = self.predictor.predict_remaining_queries(
+                    slot.session.spec(),
+                    slot.session.steps_remaining(),
+                    self.warm_start,
                 );
-                reg.inc("arena-leaked-ids", shard.client.with(|c| c.arena().leaked_ids()));
-            }
-            for (_, o) in &indexed {
-                if let Some((proposals, rejections)) = o.mh {
-                    reg.inc("mh-proposals", proposals);
-                    reg.inc("mh-rejections", rejections);
-                }
-                if let Some(scan) = o.scan {
-                    reg.inc("criterion-scans", scan.criterion_scans);
-                    reg.inc("criterion-scanned", scan.criterion_scanned);
-                    reg.gauge_max("max-scan-len", scan.max_scan);
-                }
-                if let Some(s) = o.stats {
-                    reg.inc("rewire-removals", s.removals);
-                    reg.inc("rewire-replacements", s.replacements);
-                    reg.inc("rewire-replacement-rejections", s.replacement_rejections);
-                }
+                claims.push((account, overshoot + want.max(1)));
             }
         }
+        let Some(ledger) = self.ledger.as_mut() else { return report };
+        let outcome = ledger.rebalance(&finished, &claims);
+        report.ledger_reclaimed = outcome.reclaimed;
+        report.ledger_granted = outcome.granted;
+        if outcome.reclaimed > 0 {
+            point(&mut self.obs, t, format_args!("ledger-reclaimed"), outcome.reclaimed);
+        }
+        if outcome.granted > 0 {
+            point(&mut self.obs, t, format_args!("ledger-granted"), outcome.granted);
+        }
+        for &(account, _) in &claims {
+            let slot = &mut self.slots[account];
+            let slice = ledger.account(account);
+            if slot.suspended && !slice.exhausted() {
+                slot.suspended = false;
+                slot.session.resume_stepping();
+                let id = &slot.session.spec().id;
+                point(&mut self.obs, t, format_args!("resume-{id}"), slice.allowance);
+            }
+        }
+        report
+    }
 
-        // Wall plane: fold each shard pipeline's accumulated replay time
-        // (one figure per shard, not per epoch — the pipeline does not
-        // know about barriers).
-        if let Some(wall) = wall.as_mut() {
-            for (s, shard) in shards.iter_mut().enumerate() {
+    /// **Barrier: gossip.** Folds every shard's store into the fleet-wide
+    /// union and imports it into every shard that lacks part of it, so
+    /// from the next epoch on nobody re-pays for a node any shard bought.
+    fn gossip(&mut self, report: &mut EpochReport) -> Result<()> {
+        if !self.config.gossip || self.shards.len() < 2 {
+            return Ok(());
+        }
+        let timer = self.wall.is_some().then(WallClockScope::start);
+        let (union, conflicts, sizes) = self.fold_union()?;
+        for (shard, size) in self.shards.iter_mut().zip(sizes) {
+            let adopted = union.num_responses() - size;
+            report.adopted_responses += adopted as u64;
+            if adopted > 0 {
+                shard.client.with(|c| c.import_entries(&union.cache));
+                shard.refresh_known();
+            }
+        }
+        report.merge_conflicts = conflicts;
+        if let (Some(wall), Some(timer)) = (self.wall.as_mut(), timer) {
+            let key = WallKey::phase("gossip-merge").at_epoch(self.epochs.len() as u64);
+            timer.stop_into(wall, key);
+        }
+        Ok(())
+    }
+
+    /// Ends the barrier: records the epoch's gossip savings and steps (a
+    /// W-dependent figure, so registry only, never the trace), traces the
+    /// causal adoption edges inside the epoch span, closes the span, and
+    /// moves every job's step mark to now.
+    fn close_epoch(&mut self, report: EpochReport) {
+        let t = epoch_t_us(self.epochs.len());
+        let mut walked = 0u64;
+        for slot in &mut self.slots {
+            walked += (slot.session.steps_taken() - slot.steps_seen) as u64;
+            slot.steps_seen = slot.session.steps_taken();
+        }
+        if let Some(obs) = self.obs.as_mut() {
+            obs.registry.inc("gossip-adopted-responses", report.adopted_responses);
+            obs.registry.inc("gossip-merge-conflicts", report.merge_conflicts);
+            obs.registry.inc("walk-steps", walked);
+        }
+        self.trace_adoptions(t);
+        if let Some(obs) = self.obs.as_mut() {
+            // Exit cost 0: the epoch's work is already attributed to the
+            // nested job spans (the fold treats exit cost as *self*
+            // weight, so a nonzero epoch cost would double count).
+            obs.trace.exit(t, 0);
+        }
+        self.epochs.push(report);
+    }
+
+    /// Traces the causal adoption edges folded since the last call, in
+    /// `(owner, adopter)` order.
+    fn trace_adoptions(&mut self, t: u64) {
+        let (Some(obs), Some(causal)) = (self.obs.as_mut(), self.causal.as_mut()) else {
+            return;
+        };
+        for ((owner, adopter), count) in std::mem::take(&mut causal.pending) {
+            let job = |account: usize| format!("job-{}", self.slots[account].session.spec().id);
+            obs.trace.gossip(t, &job(owner), &job(adopter), count);
+        }
+    }
+
+    /// The fleet-wide bill (unique queries summed over shard clients) and
+    /// makespan (the latest shard clock).
+    fn bill_and_makespan(&self) -> (u64, f64) {
+        let bill = self.shards.iter().map(|s| s.client.with(|c| c.unique_queries())).sum();
+        let makespan = self.shards.iter().map(|s| s.pipeline.clock().now()).fold(0.0, f64::max);
+        (bill, makespan)
+    }
+
+    /// Every shard's store folded keep-first into the fleet-wide union in
+    /// the configured order: the union, its conflict count, and each
+    /// shard's own response count.
+    fn fold_union(&self) -> Result<(HistoryStore, u64, Vec<usize>)> {
+        let stores: Vec<HistoryStore> =
+            self.shards.iter().map(|s| s.client.with(|c| HistoryStore::from_client(c))).collect();
+        let mut union = HistoryStore::default();
+        let mut conflicts = 0u64;
+        let mut order: Vec<&HistoryStore> = stores.iter().collect();
+        if self.config.merge_order == MergeOrder::Reverse {
+            order.reverse();
+        }
+        for store in order {
+            conflicts += union.merge(store).map_err(ServeError::SnapshotMismatch)?.conflicts;
+        }
+        Ok((union, conflicts, stores.iter().map(HistoryStore::num_responses).collect()))
+    }
+
+    /// **Finalize.** Closes the trace with its epoch-count self-check
+    /// (`trace2critpath` cross-checks it), drains the last quality
+    /// samples (covering runs that never crossed a barrier, e.g.
+    /// zero-step jobs whose only sample is the seed), and assembles the
+    /// report.
+    fn finalize(mut self) -> Result<FleetReport> {
+        let epochs = self.epochs.len();
+        point(&mut self.obs, epoch_t_us(epochs), format_args!("fleet-epochs"), epochs as u64);
+        self.drain_quality();
+        let (outcomes, aggregate_stats, cut_jobs) = self.outcomes()?;
+        let (union, fold_conflicts) = self.union_store()?;
+        self.fill_registry(&outcomes, &union);
+        // Wall plane: each shard pipeline's accumulated replay time (one
+        // figure per shard — the pipeline does not know about barriers).
+        if let Some(wall) = self.wall.as_mut() {
+            for (s, shard) in self.shards.iter_mut().enumerate() {
                 if let Some(replay) = shard.pipeline.take_wall() {
-                    wall.record(
-                        mto_obs::WallKey::phase("pipeline-replay").on_shard(s as u64),
-                        replay,
-                    );
+                    wall.record(WallKey::phase("pipeline-replay").on_shard(s as u64), replay);
                 }
             }
         }
-
+        let (total_unique_queries, makespan_secs) = self.bill_and_makespan();
+        let total = |figure: fn(&EpochReport) -> u64| self.epochs.iter().map(figure).sum::<u64>();
+        let ledger = self.ledger.as_ref().map(|l| LedgerSummary {
+            total: l.total(),
+            spent: l.total_spent(),
+            reclaimed: total(|e| e.ledger_reclaimed),
+            granted: total(|e| e.ledger_granted),
+            pool: l.pool(),
+            cut_jobs,
+        });
         Ok(FleetReport {
-            outcomes: indexed.into_iter().map(|(_, o)| o).collect(),
-            shards: shards.len(),
-            total_unique_queries: shards
-                .iter()
-                .map(|s| s.client.with(|c| c.unique_queries()))
-                .sum(),
-            gossip_adopted_responses: total_adopted,
-            merge_conflicts: total_conflicts,
-            makespan_secs: shards.iter().map(|s| s.pipeline.clock().now()).fold(0.0, f64::max),
+            outcomes,
+            shards: self.shards.len(),
+            total_unique_queries,
+            gossip_adopted_responses: total(|e| e.adopted_responses),
+            merge_conflicts: total(|e| e.merge_conflicts) + fold_conflicts,
+            makespan_secs,
             aggregate_stats,
             union_store: union,
-            ledger: ledger.map(|l| LedgerSummary {
-                total: l.total(),
-                spent: l.total_spent(),
-                reclaimed: total_reclaimed,
-                granted: total_granted,
-                pool: l.pool(),
-                cut_jobs,
-            }),
-            admission: decisions,
-            epochs,
-            pipeline_stats,
-            obs,
-            wall,
-            quality: quality.map(|acc| acc.report()),
+            ledger,
+            admission: self.decisions,
+            epochs: self.epochs,
+            pipeline_stats: self.shards.iter().map(|s| s.pipeline.stats()).sum(),
+            obs: self.obs,
+            wall: self.wall,
+            quality: self.quality.map(|acc| acc.report()),
         })
     }
-}
 
-/// Folds per-shard stores into one union in the configured order,
-/// returning the union and the keep-first conflict count.
-fn fold_stores(stores: &[HistoryStore], order: MergeOrder) -> Result<(HistoryStore, u64)> {
-    let mut union = HistoryStore::default();
-    let mut conflicts = 0u64;
-    let indices: Vec<usize> = match order {
-        MergeOrder::Forward => (0..stores.len()).collect(),
-        MergeOrder::Reverse => (0..stores.len()).rev().collect(),
-    };
-    for i in indices {
-        let outcome = union.merge(&stores[i]).map_err(ServeError::SnapshotMismatch)?;
-        conflicts += outcome.conflicts;
+    /// Per-job outcomes in submission order — run slots, plus
+    /// placeholders for jobs admission kept off the fleet — with the
+    /// summed rewiring counters and the number of budget-cut jobs.
+    fn outcomes(&mut self) -> Result<(Vec<JobOutcome>, RewireStats, u64)> {
+        let mut indexed: Vec<(usize, JobOutcome)> = Vec::with_capacity(self.jobs.len());
+        let mut aggregate_stats = RewireStats::default();
+        let mut cut_jobs = 0u64;
+        for slot in &mut self.slots {
+            let mut outcome = finalize_session(&mut slot.session, !slot.cut)?;
+            outcome.finished_secs = slot.finished_secs;
+            // A quality-met job stopped early *because it met its goal*:
+            // it completes by SLO even though its session never
+            // exhausted the step budget.
+            outcome.completed |= slot.quality_met;
+            cut_jobs += u64::from(slot.cut);
+            if let Some(s) = outcome.stats {
+                aggregate_stats += s;
+            }
+            indexed.push((slot.orig, outcome));
+        }
+        for d in self.decisions.iter().filter(|d| !d.verdict.admitted()) {
+            let spec = &self.jobs[d.job_index];
+            indexed.push((
+                d.job_index,
+                JobOutcome {
+                    id: spec.id.clone(),
+                    algorithm: spec.algo.name(),
+                    steps: 0,
+                    completed: false,
+                    final_node: spec.start,
+                    history: Vec::new(),
+                    stats: None,
+                    scan: None,
+                    mh: None,
+                    avg_degree_estimate: None,
+                    finished_secs: None,
+                },
+            ));
+        }
+        indexed.sort_unstable_by_key(|(j, _)| *j);
+        Ok((indexed.into_iter().map(|(_, o)| o).collect(), aggregate_stats, cut_jobs))
     }
-    Ok((union, conflicts))
+
+    /// The fleet-wide union store — every shard's cache plus every
+    /// rewiring walker's overlay delta (shard by shard, each in account
+    /// order) — and the conflicts its folds resolved.
+    fn union_store(&self) -> Result<(HistoryStore, u64)> {
+        let (mut union, mut conflicts, _) = self.fold_union()?;
+        let mut by_shard: Vec<&Slot<I>> = self.slots.iter().collect();
+        by_shard.sort_by_key(|slot| slot.shard);
+        for slot in by_shard {
+            if let Some(delta) = slot.session.walker().overlay() {
+                let overlay_only = HistoryStore {
+                    removed: delta.removed_edges().map(|e| (e.small(), e.large())).collect(),
+                    added: delta.added_edges().map(|e| (e.small(), e.large())).collect(),
+                    ..Default::default()
+                };
+                let outcome = union.merge(&overlay_only).map_err(ServeError::SnapshotMismatch)?;
+                conflicts += outcome.conflicts;
+            }
+        }
+        Ok((union, conflicts))
+    }
+
+    /// Final registry fill: walker telemetry (deterministic plane, summed
+    /// over jobs in submission order) plus cache/arena figures
+    /// (W-dependent: per-shard caches diverge with the shard count).
+    fn fill_registry(&mut self, outcomes: &[JobOutcome], union: &HistoryStore) {
+        let Some(obs) = self.obs.as_mut() else { return };
+        // A nonzero underflow count means an exit was submitted with no
+        // open span — an instrumentation bug the metrics surface must
+        // report rather than silently drop.
+        let underflows = obs.trace.underflows();
+        let reg = &mut obs.registry;
+        reg.inc("trace-underflows", underflows);
+        reg.inc("gossip-causal-adoptions", self.causal.as_ref().map_or(0, |c| c.total));
+        reg.inc("unique-nodes-crawled", union.num_responses() as u64);
+        for shard in &self.shards {
+            shard.client.with(|c| {
+                reg.inc("total-lookups", c.total_lookups());
+                reg.inc("transient-retries", c.transient_retries());
+                reg.inc("arena-rewrites-in-place", c.arena().rewrites_in_place());
+                reg.inc("arena-leaked-ids", c.arena().leaked_ids());
+            });
+        }
+        for o in outcomes {
+            if let Some((proposals, rejections)) = o.mh {
+                reg.inc("mh-proposals", proposals);
+                reg.inc("mh-rejections", rejections);
+            }
+            if let Some(scan) = o.scan {
+                reg.inc("criterion-scans", scan.criterion_scans);
+                reg.inc("criterion-scanned", scan.criterion_scanned);
+                reg.gauge_max("max-scan-len", scan.max_scan);
+            }
+            if let Some(s) = o.stats {
+                reg.inc("rewire-removals", s.removals);
+                reg.inc("rewire-replacements", s.replacements);
+                reg.inc("rewire-replacement-rejections", s.replacement_rejections);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -60,9 +60,9 @@ job id=c algo=mhrw start=80 steps=250 seed=3
 job id=d algo=srw start=120 steps=250 seed=4
 ";
 
-/// A budget too small for the pool: admission defers two jobs, the
-/// ledger suspends, re-grants and finally cuts one, and an `ess=` job
-/// may stop early — every settle step of the barrier in one run.
+/// A budget too small for the pool: admission defers two jobs (the
+/// `ess=` job among them), and the ledger suspends, re-grants and
+/// finally cuts one — every settle step of the barrier in one run.
 const TIGHT_BUDGET: &str = "\
 network gnp n=200 p=0.04 seed=7
 epochs 8

@@ -142,6 +142,22 @@ pub struct PipelineStats {
     pub latency_backoffs: u64,
 }
 
+/// Field-wise totals, e.g. over a fleet's per-shard pipelines.
+impl std::iter::Sum for PipelineStats {
+    fn sum<It: Iterator<Item = Self>>(iter: It) -> Self {
+        iter.fold(PipelineStats::default(), |a, b| PipelineStats {
+            submitted: a.submitted + b.submitted,
+            completed: a.completed + b.completed,
+            timeouts: a.timeouts + b.timeouts,
+            rate_limit_stalls: a.rate_limit_stalls + b.rate_limit_stalls,
+            transient_retries: a.transient_retries + b.transient_retries,
+            ramp_ups: a.ramp_ups + b.ramp_ups,
+            ramp_downs: a.ramp_downs + b.ramp_downs,
+            latency_backoffs: a.latency_backoffs + b.latency_backoffs,
+        })
+    }
+}
+
 /// Optional pipeline observability: queue-wait and service-time
 /// distributions in integer virtual microseconds, recorded at the
 /// moment each completion fires. Off (`None`) by default — the hot path
