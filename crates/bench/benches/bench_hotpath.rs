@@ -18,7 +18,7 @@ use mto_core::walk::{
     MetropolisHastingsWalk, MhrwConfig, RandomJumpWalk, RjConfig, SimpleRandomWalk, SrwConfig,
     Walker,
 };
-use mto_core::{OverlayDelta, RngBlock};
+use mto_core::OverlayDelta;
 use mto_graph::NodeId;
 use mto_osn::{CachedClient, OsnService, SharedClient};
 use mto_serve::history::HistoryStore;
@@ -204,42 +204,6 @@ fn bench_overlay_adjust(c: &mut Criterion) {
     group.finish();
 }
 
-/// Batched [`RngBlock`] vs the shim's call-by-call `StdRng` — identical
-/// draw stream (the regression tests prove bit-identity; this measures
-/// the refill amortization).
-fn bench_rng(c: &mut Criterion) {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    let mut group = c.benchmark_group("hotpath/rng");
-    group.sample_size(25);
-    group.measurement_time(Duration::from_secs(2));
-    const DRAWS: usize = 4096;
-    group.throughput(Throughput::Elements(DRAWS as u64));
-
-    let mut block = RngBlock::seed_from_u64(7);
-    group.bench_function("block-4k-draws", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for _ in 0..DRAWS {
-                acc = acc.wrapping_add(block.gen_range(0..1024u64));
-            }
-            std::hint::black_box(acc)
-        })
-    });
-    let mut plain = StdRng::seed_from_u64(7);
-    group.bench_function("call-by-call-4k-draws", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for _ in 0..DRAWS {
-                acc = acc.wrapping_add(plain.gen_range(0..1024u64));
-            }
-            std::hint::black_box(acc)
-        })
-    });
-    group.finish();
-}
-
 /// Wall-clock of the reduced fleet sweep (9 coordinator runs). The
 /// *virtual* makespan is part of the determinism contract and is printed
 /// for CI to grep: hot-path work may only move the wall-clock.
@@ -376,7 +340,6 @@ criterion_group!(
     bench_walker_steps,
     bench_arena,
     bench_overlay_adjust,
-    bench_rng,
     bench_codec_10k,
     bench_obs_overhead,
     bench_fleet,
@@ -402,8 +365,6 @@ fn baseline() -> BTreeMap<String, f64> {
         ("hotpath/arena/slotmap-owned-scan", 1_980.04),
         ("hotpath/overlay-adjust/adjust-into-all-nodes", 6_339.36),
         ("hotpath/overlay-adjust/adjust-alloc-all-nodes", 14_117.72),
-        ("hotpath/rng/block-4k-draws", 10_773.2),
-        ("hotpath/rng/call-by-call-4k-draws", 4_335.76),
         ("hotpath/codec-10k/encode-10k-store", 2_039_181.6),
         ("hotpath/codec-10k/decode-10k-store", 4_572_175.0),
         ("hotpath/fleet/reduced-sweep", 43_801_818.0),
@@ -432,8 +393,8 @@ fn main() {
         pr: 10,
         note: "baseline = BENCH_9.json (pre-PR commit; measured on a \
                different container — this VM runs every bench, including \
-               untouched pure-compute ones like rng/block-4k-draws, \
-               ~15-25% slower, so cross-ledger ratios carry that offset); \
+               untouched pure-compute ones, ~15-25% slower, so \
+               cross-ledger ratios carry that offset); \
                ns_per_iter = latest `cargo bench --bench bench_hotpath` \
                run; the valid gate is the same-run pair: \
                session-mto-warm-1k-quality (enabled plane: one cursor \

@@ -16,8 +16,7 @@
 //!   aggregates (average degree, profile attributes, COUNT with known
 //!   `|V|`);
 //! * [`diagnostics`] — the Geweke convergence indicator, symmetric-KL bias
-//!   measure, and auxiliary distances;
-//! * [`parallel`] — many walkers, one shared cache.
+//!   measure, and auxiliary distances.
 //!
 //! ## Example: rewiring the paper's barbell
 //!
@@ -42,14 +41,11 @@
 pub mod diagnostics;
 pub mod estimate;
 pub mod mto;
-pub mod parallel;
 pub mod rewire;
-pub mod rng;
 pub mod walk;
 
 pub use mto::{CriterionView, MtoConfig, MtoSampler, OverlayDegreeMode, RewireStats};
 pub use rewire::{materialize_removal_overlay, materialize_removal_overlay_with, OverlayDelta};
-pub use rng::RngBlock;
 pub use walk::{
     MetropolisHastingsWalk, MhrwConfig, RandomJumpWalk, RjConfig, SimpleRandomWalk, SrwConfig,
     Walker,

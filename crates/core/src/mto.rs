@@ -23,12 +23,12 @@
 
 use mto_graph::NodeId;
 use mto_osn::{QueryClient, Result};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use crate::rewire::overlay::OverlayDelta;
 use crate::rewire::removal::{is_removable_from_neighborhoods, is_removable_with_history};
 use crate::rewire::replacement::{plan_replacement, PIVOT_DEGREE};
-use crate::rng::RngBlock;
 use crate::walk::walker::Walker;
 
 /// Which neighborhood counts feed the Theorem 3/5 criterion.
@@ -200,7 +200,7 @@ pub struct MtoSampler<C> {
     overlay: OverlayDelta,
     config: MtoConfig,
     current: NodeId,
-    rng: RngBlock,
+    rng: StdRng,
     history: Vec<NodeId>,
     stats: RewireStats,
     probe: ScanProbe,
@@ -234,7 +234,7 @@ impl<C: QueryClient> MtoSampler<C> {
             overlay: OverlayDelta::new(),
             config,
             current: start,
-            rng: RngBlock::seed_from_u64(config.seed),
+            rng: StdRng::seed_from_u64(config.seed),
             history: vec![start],
             stats: RewireStats::default(),
             probe: ScanProbe::default(),

@@ -8,9 +8,9 @@
 
 use mto_graph::NodeId;
 use mto_osn::{QueryClient, Result};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-use crate::rng::RngBlock;
 use crate::walk::walker::Walker;
 
 /// Configuration of a [`MetropolisHastingsWalk`].
@@ -30,7 +30,7 @@ impl Default for MhrwConfig {
 pub struct MetropolisHastingsWalk<C> {
     client: C,
     current: NodeId,
-    rng: RngBlock,
+    rng: StdRng,
     history: Vec<NodeId>,
     accepted: u64,
     proposed: u64,
@@ -45,7 +45,7 @@ impl<C: QueryClient> MetropolisHastingsWalk<C> {
         Ok(MetropolisHastingsWalk {
             client,
             current: start,
-            rng: RngBlock::seed_from_u64(config.seed),
+            rng: StdRng::seed_from_u64(config.seed),
             history: vec![start],
             accepted: 0,
             proposed: 0,

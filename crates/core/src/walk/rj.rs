@@ -12,9 +12,9 @@
 
 use mto_graph::NodeId;
 use mto_osn::{OsnError, QueryClient, Result};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-use crate::rng::RngBlock;
 use crate::walk::walker::Walker;
 
 /// Configuration of a [`RandomJumpWalk`].
@@ -37,7 +37,7 @@ impl Default for RjConfig {
 pub struct RandomJumpWalk<C> {
     client: C,
     current: NodeId,
-    rng: RngBlock,
+    rng: StdRng,
     history: Vec<NodeId>,
     jump_probability: f64,
     id_space: usize,
@@ -65,7 +65,7 @@ impl<C: QueryClient> RandomJumpWalk<C> {
         Ok(RandomJumpWalk {
             client,
             current: start,
-            rng: RngBlock::seed_from_u64(config.seed),
+            rng: StdRng::seed_from_u64(config.seed),
             history: vec![start],
             jump_probability: config.jump_probability,
             id_space,

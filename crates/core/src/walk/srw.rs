@@ -8,9 +8,9 @@
 
 use mto_graph::NodeId;
 use mto_osn::{QueryClient, Result};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-use crate::rng::RngBlock;
 use crate::walk::walker::Walker;
 
 /// Configuration of a [`SimpleRandomWalk`].
@@ -33,7 +33,7 @@ impl Default for SrwConfig {
 pub struct SimpleRandomWalk<C> {
     client: C,
     current: NodeId,
-    rng: RngBlock,
+    rng: StdRng,
     history: Vec<NodeId>,
     lazy: bool,
     /// Reusable neighbor scratch — warm-cache stepping allocates nothing.
@@ -48,7 +48,7 @@ impl<C: QueryClient> SimpleRandomWalk<C> {
         Ok(SimpleRandomWalk {
             client,
             current: start,
-            rng: RngBlock::seed_from_u64(config.seed),
+            rng: StdRng::seed_from_u64(config.seed),
             history: vec![start],
             lazy: config.lazy,
             buf: Vec::new(),

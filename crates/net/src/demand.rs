@@ -3,7 +3,7 @@
 //!
 //! A walker's *path* is a pure function of `(config, responses)` — timing
 //! never changes where it goes, only how long it takes (the same argument
-//! that makes `mto_core::parallel` and session resume deterministic). So
+//! that makes the job scheduler and session resume deterministic). So
 //! the driver splits simulation in two: this module runs each walker once
 //! against a plain cached client and records its **demand trace** — the
 //! exact sequence of `fetch(v)` calls it makes, with the walker's own

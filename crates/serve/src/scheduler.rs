@@ -1,21 +1,19 @@
 //! The multi-job scheduler: many sessions, one cache, one budget.
 //!
-//! Generalizes `mto_core::parallel::run_parallel_mto` — which runs `k`
-//! *identical-length MTO walks* to completion — into a service-shaped
-//! component: heterogeneous jobs (any algorithm, any per-job step budget),
-//! **fair round-robin stepping** in fixed quanta so no job starves while a
-//! long one burns in, an optional **global unique-query budget** that
-//! stops admission when the provider's quota is spent, and aggregated
-//! [`RewireStats`] across every rewiring job.
+//! The paper's many-parallel-walks deployment (Section VI) as a
+//! service-shaped component: heterogeneous jobs (any algorithm, any
+//! per-job step budget), **fair round-robin stepping** in fixed quanta
+//! so no job starves while a long one burns in, an optional **global
+//! unique-query budget** that stops admission when the provider's quota
+//! is spent, and aggregated [`RewireStats`] across every rewiring job.
 //!
 //! Workers run on [`std::thread::scope`] threads over one
 //! [`SharedClient`], so a neighborhood paid for by one job is free for
-//! all. Results are deterministic regardless of thread interleaving for
-//! the same reason `run_parallel_mto`'s are: walkers keep private
-//! overlays and RNGs, and cached responses are identical no matter which
-//! job paid for them first. (The one exception: *which* job a global
-//! query budget interrupts first can vary with scheduling; per-job step
-//! budgets are always deterministic.)
+//! all. Results are deterministic regardless of thread interleaving:
+//! walkers keep private overlays and RNGs, and cached responses are
+//! identical no matter which job paid for them first. (The one
+//! exception: *which* job a global query budget interrupts first can
+//! vary with scheduling; per-job step budgets are always deterministic.)
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
