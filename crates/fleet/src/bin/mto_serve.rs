@@ -20,7 +20,7 @@
 //!   schedules quanta earliest-deadline-first). A `metrics` directive
 //!   appends the mto-obs summary (shard-invariant `metric` lines plus
 //!   `timing` lines), and `trace FILE` writes the deterministic
-//!   `mto-trace/v1` span/point record — feed it to `trace2flame` for a
+//!   `mto-trace/v2` span/point record — feed it to `trace2flame` for a
 //!   collapsed-stack profile over virtual time. A `prom FILE` directive
 //!   enables the wall-clock telemetry plane (per-phase wall time across
 //!   shard service, barrier waits, gossip merges, pipeline replay,

@@ -24,23 +24,16 @@
 //! * the trailing `checksum` is an FNV-1a 64 hash of every preceding
 //!   byte, with no newline after it, so any strict prefix is detectably
 //!   truncated and any flipped byte is a mismatch. The decoder never
-//!   panics.
-//!
-//! The decoder still reads `mto-trace/v1` files (PR 7's format, no span
-//! ids, no gossip records): span ids and parent links are reconstructed
-//! by replaying the stack discipline the v1 sink enforced, so a v1 trace
-//! decodes to exactly the records the v2 sink would have produced for
-//! the same calls.
+//!   panics, and reads v2 only: any other version is
+//!   [`TraceCodecError::UnsupportedVersion`].
 
 use crate::fnv1a64;
-use crate::trace::{TraceRecord, TraceSink, NO_SPAN};
+use crate::trace::{TraceRecord, TraceSink};
 
 /// Magic of trace files.
 pub const TRACE_MAGIC: &str = "mto-trace";
-/// The format version this build writes.
+/// The format version this build writes and reads.
 pub const TRACE_VERSION: u32 = 2;
-/// The oldest format version this build still reads.
-pub const TRACE_MIN_VERSION: u32 = 1;
 
 /// Decode failures of the trace codec.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,7 +49,7 @@ pub enum TraceCodecError {
     },
     /// The first line is not `mto-trace v<version>`.
     BadHeader(String),
-    /// The file is a format version outside this build's v1..=v2 range.
+    /// The file is a format version other than [`TRACE_VERSION`].
     UnsupportedVersion(u32),
     /// A record line failed to parse.
     BadRecord {
@@ -76,7 +69,10 @@ impl std::fmt::Display for TraceCodecError {
             }
             TraceCodecError::BadHeader(line) => write!(f, "bad trace header {line:?}"),
             TraceCodecError::UnsupportedVersion(v) => {
-                write!(f, "unsupported trace format version {v}")
+                write!(
+                    f,
+                    "unsupported trace format version {v} (this build reads v{TRACE_VERSION})"
+                )
             }
             TraceCodecError::BadRecord { line, message } => {
                 write!(f, "bad trace record at line {line}: {message}")
@@ -218,39 +214,7 @@ where
     token.parse().map_err(|e| bad_record(lineno, format!("bad {what} {token:?}: {e}")))
 }
 
-/// Replays the v1 stack discipline to reconstruct the span ids and
-/// parent links v2 records carry explicitly.
-#[derive(Default)]
-struct SpanRebuilder {
-    next_span: u64,
-    open: Vec<u64>,
-}
-
-impl SpanRebuilder {
-    fn new() -> Self {
-        SpanRebuilder { next_span: 1, open: Vec::new() }
-    }
-
-    fn enter(&mut self) -> (u64, u64) {
-        let span = self.next_span;
-        self.next_span += 1;
-        let parent = self.open.last().copied().unwrap_or(NO_SPAN);
-        self.open.push(span);
-        (span, parent)
-    }
-
-    fn exit(&mut self) -> u64 {
-        // A v1 sink could not record an unbalanced exit; a hand-edited
-        // file can, and gets the "outside any span" id.
-        self.open.pop().unwrap_or(NO_SPAN)
-    }
-
-    fn current(&self) -> u64 {
-        self.open.last().copied().unwrap_or(NO_SPAN)
-    }
-}
-
-/// Decodes an `mto-trace/v1` or `/v2` document into its records.
+/// Decodes an `mto-trace/v2` document into its records.
 pub fn decode_trace(text: &str) -> Result<Vec<TraceRecord>, TraceCodecError> {
     let body = verify_checksum(text)?;
     let mut lines = body.lines().enumerate();
@@ -262,13 +226,12 @@ pub fn decode_trace(text: &str) -> Result<Vec<TraceRecord>, TraceCodecError> {
         .ok_or_else(|| TraceCodecError::BadHeader(header.to_string()))?;
     let version: u32 =
         version.parse().map_err(|_| TraceCodecError::BadHeader(header.to_string()))?;
-    if !(TRACE_MIN_VERSION..=TRACE_VERSION).contains(&version) {
+    if version != TRACE_VERSION {
         return Err(TraceCodecError::UnsupportedVersion(version));
     }
 
     let mut declared: Option<u64> = None;
     let mut records = Vec::new();
-    let mut rebuilder = SpanRebuilder::new();
     for (i, line) in lines {
         let lineno = i + 1;
         let line = line.trim_end_matches('\r');
@@ -286,9 +249,6 @@ pub fn decode_trace(text: &str) -> Result<Vec<TraceRecord>, TraceCodecError> {
                 declared = Some(parse_num(rest, "event count", lineno)?);
             }
             "enter" | "exit" | "point" | "gossip" => {
-                if version < 2 && keyword == "gossip" {
-                    return Err(bad_record(lineno, "gossip records require mto-trace v2"));
-                }
                 let mut tokens = rest.split(' ');
                 let mut next = |what: &str| {
                     tokens
@@ -298,48 +258,32 @@ pub fn decode_trace(text: &str) -> Result<Vec<TraceRecord>, TraceCodecError> {
                 };
                 let seq: u64 = parse_num(&next("seq")?, "seq", lineno)?;
                 let t_us: u64 = parse_num(&next("t_us")?, "t_us", lineno)?;
+                let span: u64 = parse_num(&next("span")?, "span", lineno)?;
                 let record = match keyword {
-                    "enter" => {
-                        let (span, parent) = if version >= 2 {
-                            let span = parse_num(&next("span")?, "span", lineno)?;
-                            let parent = parse_num(&next("parent")?, "parent", lineno)?;
-                            (span, parent)
-                        } else {
-                            rebuilder.enter()
-                        };
-                        TraceRecord::Enter { seq, t_us, span, parent, name: next("name")? }
-                    }
-                    "exit" => {
-                        let span = if version >= 2 {
-                            parse_num(&next("span")?, "span", lineno)?
-                        } else {
-                            rebuilder.exit()
-                        };
-                        TraceRecord::Exit {
-                            seq,
-                            t_us,
-                            span,
-                            cost: parse_num(&next("cost")?, "cost", lineno)?,
-                        }
-                    }
-                    "point" => {
-                        let span = if version >= 2 {
-                            parse_num(&next("span")?, "span", lineno)?
-                        } else {
-                            rebuilder.current()
-                        };
-                        TraceRecord::Point {
-                            seq,
-                            t_us,
-                            span,
-                            name: next("name")?,
-                            value: parse_num(&next("value")?, "value", lineno)?,
-                        }
-                    }
+                    "enter" => TraceRecord::Enter {
+                        seq,
+                        t_us,
+                        span,
+                        parent: parse_num(&next("parent")?, "parent", lineno)?,
+                        name: next("name")?,
+                    },
+                    "exit" => TraceRecord::Exit {
+                        seq,
+                        t_us,
+                        span,
+                        cost: parse_num(&next("cost")?, "cost", lineno)?,
+                    },
+                    "point" => TraceRecord::Point {
+                        seq,
+                        t_us,
+                        span,
+                        name: next("name")?,
+                        value: parse_num(&next("value")?, "value", lineno)?,
+                    },
                     _ => TraceRecord::Gossip {
                         seq,
                         t_us,
-                        span: parse_num(&next("span")?, "span", lineno)?,
+                        span,
                         from: next("from")?,
                         to: next("to")?,
                         count: parse_num(&next("count")?, "count", lineno)?,
@@ -401,28 +345,12 @@ mod tests {
     }
 
     #[test]
-    fn v1_documents_decode_with_reconstructed_spans() {
-        // The exact byte layout PR 7's encoder produced for the sample
-        // calls (minus the gossip edge, which v1 could not record).
-        let v1 = "mto-trace v1\nevents 6\nenter 0 0 epoch-0\npoint 1 0 ledger-pool 320\n\
-                  enter 2 0 job-a\nexit 3 0 64\nexit 4 0 128\npoint 5 1000000 job-finished:a 400\n";
+    fn v1_documents_are_refused_naming_the_version() {
+        let v1 = "mto-trace v1\nevents 1\nenter 0 0 epoch-0\n";
         let sealed = format!("{v1}checksum {:016x}", crate::fnv1a64(v1.as_bytes()));
-        let decoded = decode_trace(&sealed).unwrap();
-        let mut sink = TraceSink::new();
-        sink.enter(0, "epoch-0");
-        sink.point(0, "ledger-pool", 320);
-        sink.enter(0, "job-a");
-        sink.exit(0, 64);
-        sink.exit(0, 128);
-        sink.point(1_000_000, "job-finished:a", 400);
-        assert_eq!(decoded, sink.events(), "v1 decode reconstructs v2 span ids and parents");
-    }
-
-    #[test]
-    fn gossip_records_are_rejected_in_v1_documents() {
-        let v1 = "mto-trace v1\nevents 1\ngossip 0 0 1 job-a job-b 3\n";
-        let sealed = format!("{v1}checksum {:016x}", crate::fnv1a64(v1.as_bytes()));
-        assert!(matches!(decode_trace(&sealed), Err(TraceCodecError::BadRecord { line: 3, .. })));
+        let err = decode_trace(&sealed).unwrap_err();
+        assert_eq!(err, TraceCodecError::UnsupportedVersion(1));
+        assert!(err.to_string().contains("version 1"), "{err}");
     }
 
     #[test]

@@ -424,15 +424,9 @@ pub struct MergeOutcome {
 
 /// FNV-1a 64-bit hash — the integrity check of the history codec, the
 /// per-record seal of [`crate::journal::HistoryJournal`], and the digest
-/// primitive fleet determinism checks build on.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// primitive fleet determinism checks build on. The same function seals
+/// `mto-trace` documents.
+pub use mto_obs::fnv1a64;
 
 /// Appends the checksum trailer (no trailing newline, so *any* strict
 /// prefix of the output is detectably damaged).

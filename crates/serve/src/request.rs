@@ -20,7 +20,7 @@
 //! # crash-safe append-only history (mto-serve journal format; replays
 //! # on open, tolerates a torn tail)
 //! journal crawl.journal
-//! # observability: write the run's deterministic `mto-trace/v1` trace
+//! # observability: write the run's deterministic `mto-trace/v2` trace
 //! # to a file, and append the metrics summary to the report (`metrics`
 //! # is the one directive with no payload)
 //! trace run.trace
@@ -244,7 +244,7 @@ pub struct ServeRequest {
     /// Scheduler knobs (`workers`, `quantum`, `budget`, `policy`
     /// directives).
     pub scheduler: SchedulerConfig,
-    /// Write the run's deterministic `mto-trace/v1` trace here (`trace`
+    /// Write the run's deterministic `mto-trace/v2` trace here (`trace`
     /// directive). Trace contents cover only the deterministic plane —
     /// virtual-time span/point events that are byte-identical across
     /// shard and worker counts.
