@@ -1040,7 +1040,7 @@ impl<'a, I: SocialNetworkInterface + Send + Sync> FleetRun<'a, I> {
                 d.job_index,
                 JobOutcome {
                     id: spec.id.clone(),
-                    algorithm: spec.algo.name(),
+                    algorithm: spec.algo.display_name(),
                     steps: 0,
                     completed: false,
                     final_node: spec.start,
@@ -1468,6 +1468,22 @@ mod tests {
         assert!(rejected.history.is_empty());
         // The other three ran normally.
         assert!(report.outcomes[1..].iter().all(|o| o.completed));
+    }
+
+    #[test]
+    fn deferred_jobs_carry_the_algorithm_label_of_jobs_that_ran() {
+        // The first job's predicted bill alone fills a 10-unit budget:
+        // it is admitted (and runs until its slice is spent), the rest
+        // are deferred.
+        let report =
+            barbell_fleet(FleetConfig { shards: 2, fleet_budget: Some(10), ..Default::default() })
+                .run(mixed_jobs())
+                .unwrap();
+        assert_eq!(report.admission[0].verdict, AdmissionVerdict::Admit);
+        assert_eq!(report.admission[1].verdict, AdmissionVerdict::Defer);
+        let (ran, deferred) = (&report.outcomes[0], &report.outcomes[1]);
+        assert!(ran.steps > 0 && deferred.steps == 0);
+        assert_eq!(deferred.algorithm, ran.algorithm, "both are MTO jobs");
     }
 
     #[test]

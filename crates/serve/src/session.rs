@@ -55,6 +55,19 @@ impl AlgoSpec {
             AlgoSpec::Rj(_) => "rj",
         }
     }
+
+    /// Display name of the algorithm (`MTO`, `SRW`, `MHRW`, `RJ`): what
+    /// its walker's [`Walker::name`] reports, and so the label every
+    /// [`crate::scheduler::JobOutcome`] carries — including jobs that
+    /// never ran.
+    pub fn display_name(&self) -> &'static str {
+        match self {
+            AlgoSpec::Mto(_) => "MTO",
+            AlgoSpec::Srw(_) => "SRW",
+            AlgoSpec::Mhrw(_) => "MHRW",
+            AlgoSpec::Rj(_) => "RJ",
+        }
+    }
 }
 
 /// One sampling job: which sampler, where it starts, how many steps it is
@@ -804,6 +817,20 @@ mod tests {
             step_budget: steps,
             deadline: None,
             ess: None,
+        }
+    }
+
+    #[test]
+    fn display_names_are_the_walker_names() {
+        for algo in [
+            AlgoSpec::Mto(MtoConfig::default()),
+            AlgoSpec::Srw(SrwConfig::default()),
+            AlgoSpec::Mhrw(MhrwConfig::default()),
+            AlgoSpec::Rj(RjConfig::default()),
+        ] {
+            let spec = JobSpec { algo, ..mto_job("a", 1, 1) };
+            let session = SamplerSession::create(shared_client(), spec).unwrap();
+            assert_eq!(algo.display_name(), session.walker().name());
         }
     }
 
