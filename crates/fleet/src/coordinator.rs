@@ -232,6 +232,9 @@ struct Slot<I: SocialNetworkInterface> {
     folded: usize,
     /// Steps taken as of the end of the last barrier.
     steps_seen: usize,
+    /// Consecutive epochs the planner granted this open job nothing
+    /// (the input of EDF aging).
+    starved: u32,
     /// Suspended by an exhausted ledger slice (resumes on re-grant).
     suspended: bool,
     /// Terminated by the budget: the pool could not refill its slice.
@@ -447,8 +450,6 @@ struct FleetRun<'a, I: SocialNetworkInterface> {
     shards: Vec<Shard<I>>,
     /// Every admitted job's slot, in account order.
     slots: Vec<Slot<I>>,
-    /// Consecutive epochs each account went ungranted (EDF aging).
-    starved: Vec<u32>,
     /// Barriers crossed so far; `epochs.len()` is the current epoch.
     epochs: Vec<EpochReport>,
 }
@@ -517,7 +518,6 @@ impl<'a, I: SocialNetworkInterface + Send + Sync> FleetRun<'a, I> {
             wall: config.wall.then(WallClockRegistry::new),
             shards: Vec::new(),
             slots: Vec::with_capacity(admitted.len()),
-            starved: vec![0; admitted.len()],
             epochs: Vec::new(),
             jobs,
             decisions,
@@ -560,6 +560,7 @@ impl<'a, I: SocialNetworkInterface + Send + Sync> FleetRun<'a, I> {
                     visited: HashSet::new(),
                     folded: 0,
                     steps_seen: 0,
+                    starved: 0,
                     suspended: false,
                     cut: false,
                     finished_secs: None,
@@ -597,7 +598,7 @@ impl<'a, I: SocialNetworkInterface + Send + Sync> FleetRun<'a, I> {
             .map(|slot| LiveJob {
                 remaining_steps: if slot.done() { 0 } else { slot.session.steps_remaining() },
                 deadline: slot.session.spec().deadline,
-                starved_epochs: self.starved[slot.account],
+                starved_epochs: slot.starved,
                 suspended: slot.suspended,
             })
             .collect();
@@ -616,10 +617,9 @@ impl<'a, I: SocialNetworkInterface + Send + Sync> FleetRun<'a, I> {
             return None;
         }
         let grants = plan_epoch(self.config.policy, &self.planner, &live);
-        for (account, job) in live.iter().enumerate() {
+        for (slot, job) in self.slots.iter_mut().zip(&live) {
             if !job.suspended && job.remaining_steps > 0 {
-                self.starved[account] =
-                    if grants[account] == 0 { self.starved[account] + 1 } else { 0 };
+                slot.starved = if grants[slot.account] == 0 { slot.starved + 1 } else { 0 };
             }
         }
         if let Some(obs) = self.obs.as_mut() {
@@ -900,10 +900,10 @@ impl<'a, I: SocialNetworkInterface + Send + Sync> FleetRun<'a, I> {
         Ok(())
     }
 
-    /// Ends the barrier: records the epoch's gossip savings and steps (a
-    /// W-dependent figure, so registry only, never the trace), traces the
-    /// causal adoption edges inside the epoch span, closes the span, and
-    /// moves every job's step mark to now.
+    /// Ends the barrier: records the epoch's walked steps and gossip
+    /// savings (a W-dependent figure, so registry only, never the trace),
+    /// traces the causal adoption edges inside the epoch span, closes the
+    /// span, and moves every job's step mark to now.
     fn close_epoch(&mut self, report: EpochReport) {
         let t = epoch_t_us(self.epochs.len());
         let mut walked = 0u64;
