@@ -932,8 +932,8 @@ impl<'a, I: SocialNetworkInterface + Send + Sync> FleetRun<'a, I> {
         let (Some(obs), Some(causal)) = (self.obs.as_mut(), self.causal.as_mut()) else {
             return;
         };
+        let job = |account: usize| format!("job-{}", self.slots[account].session.spec().id);
         for ((owner, adopter), count) in std::mem::take(&mut causal.pending) {
-            let job = |account: usize| format!("job-{}", self.slots[account].session.spec().id);
             obs.trace.gossip(t, &job(owner), &job(adopter), count);
         }
     }
