@@ -12,13 +12,17 @@
 //!
 //! That price is what the **epoch gossip** recovers: the coordinator
 //! steps every shard through its epoch grants on
-//! [`std::thread::scope`] workers, and at the barrier folds every
-//! shard's [`HistoryStore`] into a fleet-wide union (pairwise
-//! [`HistoryStore::merge`], keep-first, conflicts counted) that is
-//! redistributed to every shard — so from the next epoch on, nobody
-//! re-pays for a node any shard has already bought ("Leveraging History
-//! for Faster Sampling of Online Social Networks", arXiv:1505.00079,
-//! applied *between* concurrent crawlers instead of between runs).
+//! [`std::thread::scope`] workers, and at the barrier exchanges **deltas**
+//! — the responses each shard paid for since the last barrier, read off
+//! its client's paid log ([`CachedClient::paid_log`]). The deltas fold
+//! into one merged delta (pairwise [`HistoryStore::merge`], keep-first,
+//! conflicts counted) that every shard imports, skipping what it already
+//! holds verbatim — so from the next epoch on, nobody re-pays for a node
+//! any shard has already bought ("Leveraging History for Faster Sampling
+//! of Online Social Networks", arXiv:1505.00079, applied *between*
+//! concurrent crawlers instead of between runs). Every shard leaves a
+//! barrier holding the same responses, so a barrier costs in proportion
+//! to what was paid since the last one, not to the cache size.
 //!
 //! The **QoS layer** (`mto-qos`) decides which work deserves those
 //! epochs and budgets, through three shard-invariant mechanisms:
@@ -71,7 +75,7 @@ use mto_graph::NodeId;
 use mto_net::{Concurrency, PipelineConfig, ProviderProfile, QueryPipeline};
 use mto_obs::quality::{scale_milli, QualityAccumulator};
 use mto_obs::{MetricsRegistry, WallClockRegistry, WallClockScope, WallKey, WallStats};
-use mto_osn::{CachedClient, SharedClient, SocialNetworkInterface, VirtualClock};
+use mto_osn::{CacheSnapshot, CachedClient, SharedClient, SocialNetworkInterface, VirtualClock};
 use mto_qos::{
     plan_epoch, AdmissionController, AdmissionDecision, BudgetLedger, CostPredictor,
     DeadlinePolicy, LiveJob, PlannerConfig,
@@ -84,10 +88,14 @@ use mto_serve::session::{JobSpec, SampleObserver, SamplerSession, SessionState};
 use crate::plan::ShardPlan;
 use crate::report::{EpochReport, FleetObsData, FleetReport, LedgerSummary};
 
-/// The order in which per-shard stores are folded into the gossip
-/// union. Merge is keep-first, so the order could only matter when
-/// shards *disagree* about the network — the determinism proptests run
-/// both orders to witness that results never depend on it.
+/// The order in which the shards' gossip deltas — and, at finalize,
+/// their full stores — are folded into the union. Merge is keep-first,
+/// so the order can only matter when shards *disagree* about the
+/// network, breaking the factory's same-network contract. The rule then:
+/// a conflict is counted once, at the barrier where two deltas disagree,
+/// and every shard leaves that barrier holding the version folded first.
+/// The determinism proptests run both orders to witness that honest
+/// results never depend on it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MergeOrder {
     /// Fold shard 0 first.
@@ -310,12 +318,18 @@ impl CausalGossip {
 
 /// One shard worker: private client, private pipeline, private clock.
 /// Its jobs' slots live in the run state and are lent to it per epoch.
+/// Two marks into the client's paid log say what the shard bought since
+/// it last replayed and since it last gossiped.
 struct Shard<I: SocialNetworkInterface> {
     client: SharedClient<I>,
     pipeline: QueryPipeline<I>,
-    /// Cached node ids at the last barrier (ascending) — the diff basis
-    /// for "which nodes did *this shard pay for* this epoch".
-    known: Vec<NodeId>,
+    /// Paid-log prefix already replayed through the pipeline. It starts
+    /// past the start-node queries paid while sessions opened: those
+    /// predate the first epoch and are never replayed.
+    replayed: usize,
+    /// Paid-log prefix already gossiped (starts at 0, so the first delta
+    /// carries the start-node queries).
+    gossiped: usize,
     /// Wall plane: this epoch's self-timed service (`Some` iff
     /// [`FleetConfig::wall`]). The shard accumulates on its own thread;
     /// the coordinator takes and keys it after the barrier, so the hot
@@ -325,15 +339,12 @@ struct Shard<I: SocialNetworkInterface> {
 }
 
 impl<I: SocialNetworkInterface> Shard<I> {
-    fn refresh_known(&mut self) {
-        self.known = self.client.with(|c| c.cached_nodes().collect());
-    }
-
     /// Advances each of this shard's `slots` by its epoch grant, then
-    /// replays the nodes this shard newly paid for through its pipeline
-    /// — the shard's wall-clock bill for the epoch. Gossip-imported
-    /// nodes are already in `known` and cost no virtual time here:
-    /// nobody re-pays them. `grants` is indexed by ledger account.
+    /// replays the nodes this shard paid for this epoch — its paid log
+    /// past `replayed`, ascending — through its pipeline: the shard's
+    /// wall-clock bill for the epoch. Gossip imports never enter the paid
+    /// log, so they cost no virtual time here: nobody re-pays them.
+    /// `grants` is indexed by ledger account.
     fn run_epoch(&mut self, slots: Vec<&mut Slot<I>>, grants: &[usize]) {
         let timer = self.wall.is_some().then(WallClockScope::start);
         self.run_epoch_inner(slots, grants);
@@ -353,20 +364,30 @@ impl<I: SocialNetworkInterface> Shard<I> {
                 return;
             }
         }
-        let now: Vec<NodeId> = self.client.with(|c| c.cached_nodes().collect());
-        // Ascending-sorted set difference: nodes cached now but unknown
-        // at the last barrier.
-        let mut old = self.known.iter().peekable();
-        for &v in &now {
-            while old.peek().is_some_and(|&&o| o < v) {
-                old.next();
-            }
-            if old.peek() != Some(&&v) {
-                self.pipeline.submit(v);
-            }
+        let mut fresh = self.client.with(|c| c.paid_log()[self.replayed..].to_vec());
+        self.replayed += fresh.len();
+        fresh.sort_unstable();
+        for v in fresh {
+            self.pipeline.submit(v);
         }
         self.pipeline.drain();
-        self.known = now;
+    }
+
+    /// The gossip delta: the responses this shard paid for since it last
+    /// gossiped, ascending. Moves the gossip mark to now.
+    fn take_delta(&mut self) -> HistoryStore {
+        self.client.with(|c| {
+            let mut fresh = c.paid_log()[self.gossiped..].to_vec();
+            self.gossiped = c.paid_log().len();
+            fresh.sort_unstable();
+            let responses =
+                fresh.into_iter().map(|v| c.cached(v).expect("a paid node is cached")).collect();
+            HistoryStore {
+                cache: CacheSnapshot { responses, ..Default::default() },
+                num_users: c.num_users_hint(),
+                ..Default::default()
+            }
+        })
     }
 }
 
@@ -569,9 +590,8 @@ impl<'a, I: SocialNetworkInterface + Send + Sync> FleetRun<'a, I> {
                 });
             }
             let wall = self.config.wall.then(WallStats::default);
-            let mut shard = Shard { client, pipeline, known: Vec::new(), wall, error: None };
-            shard.refresh_known();
-            self.shards.push(shard);
+            let replayed = client.with(|c| c.paid_log().len());
+            self.shards.push(Shard { client, pipeline, replayed, gossiped: 0, wall, error: None });
         }
         self.slots.sort_by_key(|slot| slot.account);
         for account in 0..self.slots.len() {
@@ -875,22 +895,23 @@ impl<'a, I: SocialNetworkInterface + Send + Sync> FleetRun<'a, I> {
         report
     }
 
-    /// **Barrier: gossip.** Folds every shard's store into the fleet-wide
-    /// union and imports it into every shard that lacks part of it, so
-    /// from the next epoch on nobody re-pays for a node any shard bought.
+    /// **Barrier: gossip.** Folds the shards' deltas keep-first into one
+    /// merged delta and imports it into every shard, which skips what it
+    /// already holds verbatim. Shards entered the barrier holding the
+    /// same responses plus their own delta, and all leave it holding the
+    /// same responses again — conflicting entries in the version folded
+    /// first — so a shard adopts the merged delta minus its own, and from
+    /// the next epoch on nobody re-pays for a node any shard bought.
     fn gossip(&mut self, report: &mut EpochReport) -> Result<()> {
         if !self.config.gossip || self.shards.len() < 2 {
             return Ok(());
         }
         let timer = self.wall.is_some().then(WallClockScope::start);
-        let (union, conflicts, sizes) = self.fold_union()?;
-        for (shard, size) in self.shards.iter_mut().zip(sizes) {
-            let adopted = union.num_responses() - size;
-            report.adopted_responses += adopted as u64;
-            if adopted > 0 {
-                shard.client.with(|c| c.import_entries(&union.cache));
-                shard.refresh_known();
-            }
+        let deltas: Vec<HistoryStore> = self.shards.iter_mut().map(Shard::take_delta).collect();
+        let (merged, conflicts) = self.fold_union(&deltas)?;
+        for (shard, delta) in self.shards.iter().zip(&deltas) {
+            report.adopted_responses += (merged.num_responses() - delta.num_responses()) as u64;
+            shard.client.with(|c| c.import_entries(&merged.cache));
         }
         report.merge_conflicts = conflicts;
         if let (Some(wall), Some(timer)) = (self.wall.as_mut(), timer) {
@@ -946,12 +967,11 @@ impl<'a, I: SocialNetworkInterface + Send + Sync> FleetRun<'a, I> {
         (bill, makespan)
     }
 
-    /// Every shard's store folded keep-first into the fleet-wide union in
-    /// the configured order: the union, its conflict count, and each
-    /// shard's own response count.
-    fn fold_union(&self) -> Result<(HistoryStore, u64, Vec<usize>)> {
-        let stores: Vec<HistoryStore> =
-            self.shards.iter().map(|s| s.client.with(|c| HistoryStore::from_client(c))).collect();
+    /// Folds one store per shard (in shard order) keep-first into a union
+    /// in the configured [`MergeOrder`]: the union and the conflicts its
+    /// merges resolved. Gossip folds the shards' deltas; finalize folds
+    /// their full stores once.
+    fn fold_union(&self, stores: &[HistoryStore]) -> Result<(HistoryStore, u64)> {
         let mut union = HistoryStore::default();
         let mut conflicts = 0u64;
         let mut order: Vec<&HistoryStore> = stores.iter().collect();
@@ -961,7 +981,7 @@ impl<'a, I: SocialNetworkInterface + Send + Sync> FleetRun<'a, I> {
         for store in order {
             conflicts += union.merge(store).map_err(ServeError::SnapshotMismatch)?.conflicts;
         }
-        Ok((union, conflicts, stores.iter().map(HistoryStore::num_responses).collect()))
+        Ok((union, conflicts))
     }
 
     /// **Finalize.** Closes the trace with its epoch-count self-check
@@ -1061,7 +1081,9 @@ impl<'a, I: SocialNetworkInterface + Send + Sync> FleetRun<'a, I> {
     /// rewiring walker's overlay delta (shard by shard, each in account
     /// order) — and the conflicts its folds resolved.
     fn union_store(&self) -> Result<(HistoryStore, u64)> {
-        let (mut union, mut conflicts, _) = self.fold_union()?;
+        let stores: Vec<HistoryStore> =
+            self.shards.iter().map(|s| s.client.with(|c| HistoryStore::from_client(c))).collect();
+        let (mut union, mut conflicts) = self.fold_union(&stores)?;
         let mut by_shard: Vec<&Slot<I>> = self.slots.iter().collect();
         by_shard.sort_by_key(|slot| slot.shard);
         for slot in by_shard {

@@ -168,6 +168,10 @@ pub struct CachedClient<I> {
     /// Degrees known *without* a cached neighborhood (sparse; a full
     /// response in the arena always takes precedence).
     degree_hints: HashMap<NodeId, usize>,
+    /// Every node a request reached the backing interface for, in
+    /// payment order — the delta a fleet shard gossips. Imports never
+    /// append: they are history, not payments.
+    paid: Vec<NodeId>,
     /// Requests that reached the backing interface (unique query cost).
     unique_queries: u64,
     /// All `query` calls, including cache hits.
@@ -206,6 +210,7 @@ impl<I: SocialNetworkInterface> CachedClient<I> {
             inner,
             arena: NeighborArena::new(),
             degree_hints: HashMap::new(),
+            paid: Vec::new(),
             unique_queries: 0,
             total_lookups: 0,
             transient_retries: 0,
@@ -232,6 +237,7 @@ impl<I: SocialNetworkInterface> CachedClient<I> {
                 }
             };
             self.unique_queries += 1;
+            self.paid.push(v);
             self.arena.insert(v, &response.neighbors, response.profile);
         }
         Ok(())
@@ -267,6 +273,13 @@ impl<I: SocialNetworkInterface> CachedClient<I> {
     /// The paper's query cost: unique queries issued so far.
     pub fn unique_queries(&self) -> u64 {
         self.unique_queries
+    }
+
+    /// Every node this client paid a unique query for, in payment order.
+    /// Imports never append, so a warm-started client's log holds only
+    /// its own payments.
+    pub fn paid_log(&self) -> &[NodeId] {
+        &self.paid
     }
 
     /// All lookups including cache hits.
@@ -368,12 +381,18 @@ impl<I: SocialNetworkInterface> CachedClient<I> {
     }
 
     /// Imports the cache *contents* (responses and degree hints) of a
-    /// snapshot. Counters are untouched: a warm-started client begins with
-    /// the knowledge paid for by an earlier run but its own bill at zero.
-    /// Use [`CachedClient::restore_counters`] to also resume the bill.
+    /// snapshot. Counters and the paid log are untouched: a warm-started
+    /// client begins with the knowledge paid for by an earlier run but its
+    /// own bill at zero. Use [`CachedClient::restore_counters`] to also
+    /// resume the bill. A response the client already holds verbatim is
+    /// skipped, so the arena only rewrites entries whose content differs.
     pub fn import_entries(&mut self, snapshot: &CacheSnapshot) {
         for r in &snapshot.responses {
-            self.arena.insert(r.user, &r.neighbors, r.profile.clone());
+            let held = self.arena.neighbors_of(r.user) == Some(r.neighbors.as_slice())
+                && self.arena.profile_of(r.user) == Some(&r.profile);
+            if !held {
+                self.arena.insert(r.user, &r.neighbors, r.profile.clone());
+            }
         }
         for &(v, d) in &snapshot.degree_hints {
             self.remember_degree(v, d);
@@ -496,6 +515,39 @@ mod tests {
         }
         assert_eq!(c.unique_queries(), 22);
         assert!(c.transient_retries() > 0, "expected some retries at 40% failure rate");
+    }
+
+    #[test]
+    fn paid_log_records_payments_in_order_and_never_imports() {
+        let mut c = client();
+        for v in [7u32, 2, 7, 9, 2] {
+            c.query(NodeId(v)).unwrap();
+        }
+        assert_eq!(c.paid_log(), &[NodeId(7), NodeId(2), NodeId(9)], "cache hits are not paid");
+        assert_eq!(c.paid_log().len() as u64, c.unique_queries());
+
+        let mut warm = client();
+        warm.import_entries(&c.export_snapshot());
+        warm.query(NodeId(2)).unwrap();
+        assert!(warm.paid_log().is_empty(), "imported nodes are history, not payments");
+        warm.query(NodeId(3)).unwrap();
+        assert_eq!(warm.paid_log(), &[NodeId(3)]);
+    }
+
+    #[test]
+    fn importing_held_responses_rewrites_nothing() {
+        let mut a = client();
+        for v in [0u32, 5, 11] {
+            a.query(NodeId(v)).unwrap();
+        }
+        let mut snap = a.export_snapshot();
+        a.import_entries(&snap);
+        assert_eq!(a.arena().rewrites_in_place(), 0, "verbatim entries are skipped");
+        // A response with different content is overwritten.
+        snap.responses[1].neighbors.truncate(1);
+        a.import_entries(&snap);
+        assert_eq!(a.arena().rewrites_in_place(), 1);
+        assert_eq!(a.neighbors_of(NodeId(5)).unwrap(), snap.responses[1].neighbors.as_slice());
     }
 
     #[test]
