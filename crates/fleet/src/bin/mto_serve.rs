@@ -477,6 +477,7 @@ fn run_fleet(
         quality: request.quality,
         ..Default::default()
     };
+    let warm_responses = prior.as_ref().map_or(0, HistoryStore::num_responses) as u64;
     let mut fleet = FleetCoordinator::new(move |_| service.clone(), config);
     if let Some(store) = prior {
         fleet = fleet.with_warm_start(store);
@@ -484,7 +485,7 @@ fn run_fleet(
     let report = fleet.run(request.jobs.clone())?;
     let mut body = render_fleet_report(request, &report, epoch_quantum);
     if request.metrics {
-        render_fleet_metrics(&mut body, request, &report);
+        render_fleet_metrics(&mut body, request, &report, warm_responses);
     }
     if let Some(path) = &request.trace {
         let fallback = TraceSink::new();
@@ -503,8 +504,14 @@ fn run_fleet(
 /// `metric` lines are shard-invariant — byte-identical at every `W`
 /// (the obs-smoke CI job diffs them) — while `timing` lines carry the
 /// figures sharding legitimately changes: bills, queue waits, gossip
-/// yield, per-job finish instants.
-fn render_fleet_metrics(out: &mut String, request: &ServeRequest, report: &FleetReport) {
+/// yield, per-job finish instants. `warm_responses` is the size of the
+/// warm-start history the run began with (0 when cold).
+fn render_fleet_metrics(
+    out: &mut String,
+    request: &ServeRequest,
+    report: &FleetReport,
+    warm_responses: u64,
+) {
     use std::fmt::Write;
     let Some(obs) = &report.obs else { return };
     let reg = &obs.registry;
@@ -517,11 +524,14 @@ fn render_fleet_metrics(out: &mut String, request: &ServeRequest, report: &Fleet
     // `total-lookups` is the sum of every walker's fetch calls (each
     // walk is deterministic). The W-dependent bill — what the shards
     // actually re-paid — is `timing fleet-bill-unique-queries` below.
+    // Misses are the responses this run added to the union: warm-start
+    // responses were lookups' hits, not misses.
     let unique = reg.counter("unique-nodes-crawled");
     let lookups = reg.counter("total-lookups");
+    let misses = unique.saturating_sub(warm_responses);
     writeln!(out, "metric unique-queries {unique}").expect("string write");
     writeln!(out, "metric total-lookups {lookups}").expect("string write");
-    writeln!(out, "metric cache-hit-rate {}", percent(lookups.saturating_sub(unique), lookups))
+    writeln!(out, "metric cache-hit-rate {}", percent(lookups.saturating_sub(misses), lookups))
         .expect("string write");
     // Causal adoptions are derived from walk histories, not shard
     // caches, so they sit in the invariant plane with the trace's
