@@ -1544,6 +1544,129 @@ mod tests {
         assert!(matches!(err, ServeError::SnapshotMismatch(_)), "{err:?}");
     }
 
+    /// `count` SRW jobs (no overlays, so every conflict is a response
+    /// conflict) starting `spacing` nodes apart.
+    fn srw_jobs(count: u32, spacing: u32, steps: usize) -> Vec<JobSpec> {
+        (0..count)
+            .map(|i| JobSpec {
+                id: format!("srw-{i}"),
+                algo: AlgoSpec::Srw(SrwConfig { seed: u64::from(i) + 1, lazy: false }),
+                start: NodeId(spacing * i),
+                step_budget: steps,
+                deadline: None,
+                ess: None,
+            })
+            .collect()
+    }
+
+    /// Runs `jobs` on a G(n, p) whose shard 1 crawls a different G(n, p)
+    /// of the same size, breaking the same-network contract. The loop is
+    /// [`FleetCoordinator::run`]'s, with each barrier's hand-off checked
+    /// against keep-first worked out by hand: a node paid for by several
+    /// shards in one epoch takes the version of the first in fold order,
+    /// every later payer with another version is one conflict, and every
+    /// shard leaves the barrier holding the same responses.
+    fn split_brain_run(
+        config: FleetConfig,
+        (n, p): (usize, f64),
+        jobs: Vec<JobSpec>,
+    ) -> FleetReport {
+        use rand::SeedableRng;
+        let factory = |s: usize| {
+            let seed = if s == 1 { 8 } else { 7 };
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            OsnService::with_defaults(&mto_graph::generators::gnp_graph(n, p, &mut rng))
+        };
+        let mut run = FleetRun::admit(&config, None, factory(0).num_users_hint(), jobs).unwrap();
+        run.build_shards(&factory).unwrap();
+        while let Some(grants) = run.plan() {
+            run.step(&grants).unwrap();
+            run.quality_barrier();
+            let mut report = run.settle();
+            let mut order: Vec<&Shard<OsnService>> = run.shards.iter().collect();
+            if config.merge_order == MergeOrder::Reverse {
+                order.reverse();
+            }
+            let mut first: BTreeMap<NodeId, mto_osn::QueryResponse> = BTreeMap::new();
+            let mut conflicts = 0u64;
+            for shard in order {
+                shard.client.with(|c| {
+                    for &v in &c.paid_log()[shard.gossiped..] {
+                        let mine = c.cached(v).unwrap();
+                        if let Some(kept) = first.get(&v) {
+                            conflicts += u64::from(*kept != mine);
+                        } else {
+                            first.insert(v, mine);
+                        }
+                    }
+                });
+            }
+            run.gossip(&mut report).unwrap();
+            let epoch = report.epoch;
+            assert_eq!(report.merge_conflicts, conflicts, "epoch {epoch}");
+            let held: Vec<CacheSnapshot> =
+                run.shards.iter().map(|s| s.client.with(|c| c.export_snapshot())).collect();
+            for (s, snapshot) in held.iter().enumerate() {
+                assert_eq!(snapshot.responses, held[0].responses, "epoch {epoch}: shard {s}");
+                for (v, kept) in &first {
+                    let response = snapshot.responses.iter().find(|r| r.user == *v);
+                    assert_eq!(response, Some(kept), "epoch {epoch}: shard {s} node {v}");
+                }
+            }
+            run.close_epoch(report);
+        }
+        run.finalize().unwrap()
+    }
+
+    #[test]
+    fn a_conflict_is_counted_once_and_every_shard_keeps_the_first_version() {
+        // (W, order) → merge conflicts, per-epoch adoptions, union size,
+        // and the fnv1a64 of the encoded union store.
+        let pins: [(usize, MergeOrder, u64, [u64; 5], usize, u64); 4] = [
+            (2, MergeOrder::Forward, 22, [40, 17, 12, 7, 8], 106, 0xa8e1_1cf7_29f6_5357),
+            (2, MergeOrder::Reverse, 20, [40, 27, 9, 7, 8], 111, 0xb925_cf01_a776_1913),
+            (3, MergeOrder::Forward, 22, [89, 38, 28, 15, 13], 106, 0x17ed_f3b8_1f08_8633),
+            (3, MergeOrder::Reverse, 24, [89, 46, 19, 15, 16], 109, 0xd2c8_26ce_33b5_008f),
+        ];
+        for (shards, merge_order, conflicts, adopted, union_len, union_hash) in pins {
+            let config =
+                FleetConfig { shards, merge_order, epoch_quantum: 30, ..Default::default() };
+            let report = split_brain_run(config, (120, 0.05), srw_jobs(3, 40, 150));
+            let union = &report.union_store;
+            let got = (
+                report.merge_conflicts,
+                report.epochs.iter().map(|e| e.adopted_responses).collect::<Vec<_>>(),
+                union.num_responses(),
+                mto_obs::fnv1a64(union.encode().as_bytes()),
+            );
+            let run = format!("W={shards} {merge_order:?}");
+            assert!(report.merge_conflicts > 0, "{run}: shard 1 contradicts the others");
+            // Counted once: the barriers left no conflict behind for the
+            // final fold of the shards' full stores to find again.
+            let at_barriers: u64 = report.epochs.iter().map(|e| e.merge_conflicts).sum();
+            assert_eq!(report.merge_conflicts, at_barriers, "{run}");
+            assert_eq!(got, (conflicts, adopted.to_vec(), union_len, union_hash), "{run}");
+        }
+    }
+
+    #[test]
+    fn a_shard_that_adopts_nothing_still_takes_the_kept_version() {
+        // Both walks crawl all ten nodes in epoch 0, each on its own
+        // version of the network: neither shard adopts a node, yet every
+        // node it holds may conflict with the other's.
+        for merge_order in [MergeOrder::Forward, MergeOrder::Reverse] {
+            let config =
+                FleetConfig { shards: 2, merge_order, epoch_quantum: 100, ..Default::default() };
+            let report = split_brain_run(config, (10, 0.6), srw_jobs(2, 5, 200));
+            let adopted: Vec<u64> = report.epochs.iter().map(|e| e.adopted_responses).collect();
+            let conflicts: Vec<u64> = report.epochs.iter().map(|e| e.merge_conflicts).collect();
+            assert_eq!(report.union_store.num_responses(), 10, "{merge_order:?}");
+            assert_eq!(adopted, [0, 0], "{merge_order:?}");
+            assert_eq!(conflicts, [10, 0], "{merge_order:?}");
+            assert_eq!(report.merge_conflicts, conflicts[0], "{merge_order:?}: counted once");
+        }
+    }
+
     #[test]
     fn observed_traces_are_byte_identical_across_shard_counts() {
         let observe = |shards| {

@@ -19,8 +19,10 @@ pub struct EpochReport {
     /// Responses shards adopted from each other's crawls at this
     /// barrier — queries nobody has to re-pay: the gossip dedup saving.
     pub adopted_responses: u64,
-    /// Conflicts the gossip merges resolved keep-first at this barrier
-    /// (nonzero means two shards disagreed about the network).
+    /// Conflicts the gossip merges resolved keep-first at this barrier:
+    /// entries of two shards' deltas that disagree (nonzero means the
+    /// shards crawl different networks). Each is counted only here —
+    /// every shard leaves the barrier holding the kept version.
     pub merge_conflicts: u64,
     /// Max per-shard virtual seconds at the barrier — the fleet's
     /// makespan so far.
@@ -85,8 +87,13 @@ pub struct FleetReport {
     pub total_unique_queries: u64,
     /// Responses adopted through gossip, total.
     pub gossip_adopted_responses: u64,
-    /// Keep-first merge conflicts, total (epoch gossip plus the final
-    /// union fold).
+    /// Keep-first merge conflicts, total: epoch gossip plus the final
+    /// union fold. A conflict is counted once, at the barrier where two
+    /// shards' deltas disagree, and every shard leaves that barrier
+    /// holding the version folded first (see
+    /// [`crate::coordinator::MergeOrder`]), so the final fold finds only
+    /// what no barrier exchanged: overlay disagreements, or every
+    /// disagreement when gossip is off. Honest runs report 0.
     pub merge_conflicts: u64,
     /// Max per-shard virtual seconds at the end of the run.
     pub makespan_secs: f64,

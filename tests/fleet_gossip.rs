@@ -3,7 +3,10 @@
 //! safety, and the W=1 ↔ scheduler equivalence — everything wired
 //! together the way a consumer of `mto_sampler` sees it.
 
+use std::collections::BTreeSet;
+
 use mto_sampler::core::mto::MtoConfig;
+use mto_sampler::core::walk::SrwConfig;
 use mto_sampler::fleet::{FleetConfig, FleetCoordinator, MergeOrder};
 use mto_sampler::graph::generators::gnp_graph;
 use mto_sampler::graph::{Graph, NodeId};
@@ -22,7 +25,11 @@ fn network() -> Graph {
 }
 
 fn jobs() -> Vec<JobSpec> {
-    (0..6u64)
+    mto_jobs(6)
+}
+
+fn mto_jobs(count: u64) -> Vec<JobSpec> {
+    (0..count)
         .map(|i| JobSpec {
             id: format!("w{i}"),
             algo: AlgoSpec::Mto(MtoConfig { seed: i + 1, ..Default::default() }),
@@ -111,4 +118,50 @@ fn union_store_journals_and_warm_starts_the_next_fleet() {
 
     assert_eq!(warm.total_unique_queries, 0, "the union store covers every node the jobs visit");
     assert_eq!(warm.results_digest(), first.results_digest());
+}
+
+#[test]
+fn honest_gossip_rewrites_nothing_a_shard_already_holds() {
+    for shards in [2, 4, 8] {
+        let report =
+            fleet(FleetConfig { shards, epoch_quantum: 25, obs: true, ..Default::default() })(
+                mto_jobs(8),
+            );
+        assert_eq!(report.shards, shards);
+        assert!(report.gossip_adopted_responses > 0, "W={shards}: shards must trade history");
+        let registry = &report.obs.as_ref().expect("obs was requested").registry;
+        assert_eq!(registry.counter("arena-rewrites-in-place"), 0, "W={shards}");
+    }
+}
+
+#[test]
+fn start_node_queries_are_gossiped_at_the_first_barrier_and_never_replayed() {
+    // An SRW pays for exactly the nodes it visits. Two of them on two
+    // shards start where the other walk does not go in epoch 0.
+    let srw = |seed: u64, start: u32| JobSpec {
+        id: format!("srw-{seed}"),
+        algo: AlgoSpec::Srw(SrwConfig { seed, lazy: false }),
+        start: NodeId(start),
+        step_budget: 60,
+        deadline: None,
+        ess: None,
+    };
+    let report =
+        fleet(FleetConfig { shards: 2, epoch_quantum: 20, obs: true, ..Default::default() })(vec![
+            srw(1, 0),
+            srw(2, 100),
+        ]);
+    let epoch0: Vec<BTreeSet<NodeId>> =
+        report.outcomes.iter().map(|o| o.history[..=20].iter().copied().collect()).collect();
+    assert!(!epoch0[0].contains(&NodeId(100)) && !epoch0[1].contains(&NodeId(0)));
+    // Each shard adopts everything the other paid for in epoch 0, the
+    // start node its session opened on included.
+    let exchanged = epoch0[0].symmetric_difference(&epoch0[1]).count() as u64;
+    assert_eq!(report.epochs[0].adopted_responses, exchanged);
+    assert_eq!(exchanged, 30);
+    // The pipelines replay every paid node except the two start nodes.
+    let registry = &report.obs.as_ref().expect("obs was requested").registry;
+    let completions = registry.counter("pipeline-completions");
+    assert_eq!(completions, report.total_unique_queries - 2);
+    assert_eq!(completions, 84);
 }
