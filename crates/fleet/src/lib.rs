@@ -8,11 +8,11 @@
 //! coordination layer that removes the lock without giving up the
 //! history: many shard workers, each with a **private** cache, private
 //! [`mto_net::QueryPipeline`] and private [`mto_osn::VirtualClock`], run
-//! in lockstep **epochs**; at every barrier the shards **gossip** their
-//! [`mto_serve::HistoryStore`]s into a fleet-wide union that is
-//! redistributed, so shards stop re-paying for each other's queries
-//! (history reuse à la arXiv:1505.00079, applied *between* concurrent
-//! crawlers).
+//! in lockstep **epochs**; at every barrier the shards **gossip** the
+//! responses each paid for since the last barrier, merged into one
+//! [`mto_serve::HistoryStore`] delta that every shard imports, so shards
+//! stop re-paying for each other's queries (history reuse à la
+//! arXiv:1505.00079, applied *between* concurrent crawlers).
 //!
 //! * [`plan`] — [`ShardPlan`]: deterministic round-robin job
 //!   partitioning;
