@@ -364,10 +364,7 @@ impl<I: SocialNetworkInterface> Shard<I> {
                 return;
             }
         }
-        let mut fresh = self.client.with(|c| c.paid_log()[self.replayed..].to_vec());
-        self.replayed += fresh.len();
-        fresh.sort_unstable();
-        for v in fresh {
+        for v in self.client.with(|c| paid_since(c, &mut self.replayed)) {
             self.pipeline.submit(v);
         }
         self.pipeline.drain();
@@ -377,9 +374,7 @@ impl<I: SocialNetworkInterface> Shard<I> {
     /// gossiped, ascending. Moves the gossip mark to now.
     fn take_delta(&mut self) -> HistoryStore {
         self.client.with(|c| {
-            let mut fresh = c.paid_log()[self.gossiped..].to_vec();
-            self.gossiped = c.paid_log().len();
-            fresh.sort_unstable();
+            let fresh = paid_since(c, &mut self.gossiped);
             let responses =
                 fresh.into_iter().map(|v| c.cached(v).expect("a paid node is cached")).collect();
             HistoryStore {
@@ -389,6 +384,18 @@ impl<I: SocialNetworkInterface> Shard<I> {
             }
         })
     }
+}
+
+/// The nodes `client` paid for past `mark` in its paid log, ascending;
+/// moves `mark` to the end of the log.
+fn paid_since<I: SocialNetworkInterface>(
+    client: &CachedClient<I>,
+    mark: &mut usize,
+) -> Vec<NodeId> {
+    let mut fresh = client.paid_log()[*mark..].to_vec();
+    *mark = client.paid_log().len();
+    fresh.sort_unstable();
+    fresh
 }
 
 /// Runs a job list as a sharded fleet (see the module docs).

@@ -345,11 +345,6 @@ impl<I: SocialNetworkInterface> CachedClient<I> {
         })
     }
 
-    /// Nodes whose neighborhoods are known, ascending id.
-    pub fn cached_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.arena.nodes()
-    }
-
     /// Read access to the flat neighborhood store.
     pub fn arena(&self) -> &NeighborArena {
         &self.arena
@@ -555,7 +550,7 @@ mod tests {
         let mut c = client();
         c.query(NodeId(7)).unwrap();
         c.query(NodeId(2)).unwrap();
-        let nodes: Vec<u32> = c.cached_nodes().map(|n| n.0).collect();
+        let nodes: Vec<u32> = c.export_snapshot().responses.iter().map(|r| r.user.0).collect();
         assert_eq!(nodes, vec![2, 7], "span table yields ascending ids");
     }
 
