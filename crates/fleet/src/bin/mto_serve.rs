@@ -524,8 +524,8 @@ fn render_fleet_metrics(
     // `total-lookups` is the sum of every walker's fetch calls (each
     // walk is deterministic). The W-dependent bill — what the shards
     // actually re-paid — is `timing fleet-bill-unique-queries` below.
-    // Misses are the responses this run added to the union: warm-start
-    // responses were lookups' hits, not misses.
+    // Misses are the responses this run added to the union: a lookup
+    // answered from the warm-start history is a hit.
     let unique = reg.counter("unique-nodes-crawled");
     let lookups = reg.counter("total-lookups");
     let misses = unique.saturating_sub(warm_responses);
