@@ -8,7 +8,8 @@
 //! ```
 //!
 //! * `run` executes every job of a request file — on the single-client
-//!   [`JobScheduler`] by default, or as a sharded
+//!   [`JobScheduler`] by default (jobs step on the calling thread, so a
+//!   `workers` line is accepted but has no effect), or as a sharded
 //!   [`mto_fleet::FleetCoordinator`] when the request says `shards W`
 //!   (with `epochs N` gossip barriers) — honoring its `warm-start` /
 //!   `save-history` / `journal` directives. Fleet runs additionally
@@ -23,8 +24,8 @@
 //!   `mto-trace/v2` span/point record — feed it to `trace2flame` for a
 //!   collapsed-stack profile over virtual time. A `prom FILE` directive
 //!   enables the wall-clock telemetry plane (per-phase wall time across
-//!   shard service, barrier waits, gossip merges, pipeline replay,
-//!   scheduler workers, and history encode/decode) and writes a
+//!   shard service, barrier waits, gossip merges, pipeline replay, the
+//!   scheduler's stepping loop, and history encode/decode) and writes a
 //!   Prometheus text-exposition snapshot of the metrics and wall
 //!   registries — the run's only output that varies run to run; report
 //!   bodies, traces, and `metric` lines are byte-identical with or
@@ -330,7 +331,7 @@ struct SchedulerObs {
 /// Builds the scheduler (cold or warm-started), runs the jobs, and
 /// exports the client's final history — generic over however the
 /// service is wrapped.
-fn execute<I: SocialNetworkInterface + Send + Sync>(
+fn execute<I: SocialNetworkInterface>(
     service: I,
     request: &ServeRequest,
     prior: Option<HistoryStore>,

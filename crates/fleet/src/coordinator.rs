@@ -1276,7 +1276,7 @@ mod tests {
 
         let scheduler = JobScheduler::new(
             OsnService::with_defaults(&paper_barbell()),
-            SchedulerConfig { workers: 3, quantum: 16, ..Default::default() },
+            SchedulerConfig { quantum: 16, ..Default::default() },
         );
         let serve_report = scheduler.run(mixed_jobs()).unwrap();
 

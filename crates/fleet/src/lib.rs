@@ -2,10 +2,10 @@
 //!
 //! One [`mto_serve::scheduler::JobScheduler`] spends crawl history well
 //! *inside* a process: every job shares one client, so a neighborhood
-//! paid for by one walker is free for all. But one shared client is one
-//! shared lock — the architecture stops scaling exactly where the
-//! ROADMAP's production north star begins. This crate is the
-//! coordination layer that removes the lock without giving up the
+//! paid for by one walker is free for all. But it steps every job on
+//! one thread over one client — the architecture stops scaling exactly
+//! where the ROADMAP's production north star begins. This crate is the
+//! coordination layer that adds threads without giving up the
 //! history: many shard workers, each with a **private** cache, private
 //! [`mto_net::QueryPipeline`] and private [`mto_osn::VirtualClock`], run
 //! in lockstep **epochs**; at every barrier the shards **gossip** the

@@ -3,7 +3,9 @@
 //! Four reference requests without `shards` run through the real binary
 //! with `trace` on, once per `workers` line (1, 2 and 4) and once with
 //! none. At every one of those, the report body and the trace bytes
-//! equal the request's committed fixtures.
+//! equal the request's committed fixtures: jobs step on the calling
+//! thread, so `workers` is accepted but changes nothing, not even which
+//! jobs a global query budget cuts.
 //!
 //! One test per request and `workers` value, so a failure names both. A
 //! failing run keeps its outputs and prints their paths.
@@ -121,7 +123,8 @@ golden! {
     mto_warm_small_workers_2: MTO_WARM_SMALL as "mto-warm-small" with Some(2);
     mto_warm_small_workers_4: MTO_WARM_SMALL as "mto-warm-small" with Some(4);
     mto_warm_small_no_workers: MTO_WARM_SMALL as "mto-warm-small" with None;
-    // Budget cuts still depend on thread timing under a worker pool, so
-    // the budgeted request is pinned at one worker.
     budget_cut_workers_1: BUDGET_CUT as "budget-cut" with Some(1);
+    budget_cut_workers_2: BUDGET_CUT as "budget-cut" with Some(2);
+    budget_cut_workers_4: BUDGET_CUT as "budget-cut" with Some(4);
+    budget_cut_no_workers: BUDGET_CUT as "budget-cut" with None;
 }

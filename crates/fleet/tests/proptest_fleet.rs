@@ -93,8 +93,8 @@ proptest! {
     #[test]
     fn single_shard_reproduces_the_scheduler_exactly(
         raw in vec(job_strategy(), 1..6),
-        workers in 1usize..5,
         quantum in 1usize..80,
+        scheduler_quantum in 1usize..80,
     ) {
         let jobs = build_jobs(&raw);
         let fleet = run_fleet(
@@ -103,7 +103,7 @@ proptest! {
         );
         let scheduler = JobScheduler::new(
             OsnService::with_defaults(&paper_barbell()),
-            SchedulerConfig { workers, quantum: quantum.max(1), ..Default::default() },
+            SchedulerConfig { quantum: scheduler_quantum, ..Default::default() },
         );
         let serve = scheduler.run(jobs).expect("scheduler run");
         prop_assert_eq!(fleet.outcomes.len(), serve.outcomes.len());

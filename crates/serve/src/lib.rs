@@ -17,8 +17,9 @@
 //!   overlay deltas, so later runs **warm-start** and only pay for nodes
 //!   nobody has visited;
 //! * [`scheduler::JobScheduler`] — many heterogeneous jobs stepped in
-//!   fair round-robin quanta on scoped worker threads over one shared
-//!   client and budget;
+//!   fair round-robin quanta on the calling thread over one shared
+//!   client and budget, so results, the bill and budget cuts never
+//!   depend on thread timing;
 //! * [`request`] — the request-file format the `mto_serve` binary serves.
 //!
 //! ## Example: pause, persist, resume

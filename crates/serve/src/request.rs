@@ -12,7 +12,8 @@
 //! # optional persistent history
 //! warm-start crawl.hist
 //! save-history crawl.hist
-//! # scheduler knobs
+//! # scheduler knobs (jobs step on the calling thread: `workers N` is
+//! # accepted for older request files but has no effect)
 //! workers 4
 //! quantum 32
 //! budget 5000
@@ -36,7 +37,7 @@
 //! # side channel — report bodies, traces, and `metric` lines stay
 //! # byte-identical whether or not `prom` is present.
 //! prom metrics.prom
-//! # fleet mode (mto-fleet): shard the jobs across W workers and gossip
+//! # fleet mode (mto-fleet): shard the jobs across W threads and gossip
 //! # history at N epoch barriers. Replaces the scheduler: `workers` /
 //! # `quantum` are rejected together with `shards`; `budget` becomes the
 //! # fleet-wide unique-query budget split by the mto-qos ledger, and
@@ -241,8 +242,8 @@ pub struct ServeRequest {
     /// Target number of epoch barriers for the fleet's history gossip
     /// (`epochs` directive; only meaningful with `shards`).
     pub epochs: Option<usize>,
-    /// Scheduler knobs (`workers`, `quantum`, `budget`, `policy`
-    /// directives).
+    /// Scheduler knobs (`quantum`, `budget`, `policy` directives; the
+    /// `workers` directive parses but sets nothing).
     pub scheduler: SchedulerConfig,
     /// Write the run's deterministic `mto-trace/v2` trace here (`trace`
     /// directive). Trace contents cover only the deterministic plane —
@@ -376,9 +377,11 @@ impl ServeRequest {
                     epochs = Some(n);
                 }
                 "workers" => {
+                    // Accepted for older request files, but jobs step on
+                    // the calling thread: the count is checked, then
+                    // ignored.
                     workers_seen = true;
-                    scheduler.workers =
-                        rest.parse().map_err(|e| err(lineno, format!("bad workers: {e}")))?;
+                    rest.parse::<usize>().map_err(|e| err(lineno, format!("bad workers: {e}")))?;
                 }
                 "quantum" => {
                     quantum_seen = true;
@@ -513,7 +516,14 @@ job id=b algo=srw start=3 steps=400 seed=9
         let req = ServeRequest::parse(SMOKE).unwrap();
         assert_eq!(req.network, NetworkSpec::Barbell);
         assert_eq!(req.provider, Some(ProviderProfile::facebook()));
-        assert_eq!(req.scheduler.workers, 2);
+        // `workers 2` parses (and changes nothing); a bad count is still
+        // an error that names the directive.
+        assert_eq!(
+            req.scheduler,
+            ServeRequest::parse(&SMOKE.replace("workers 2\n", "")).unwrap().scheduler
+        );
+        let e = ServeRequest::parse(&SMOKE.replace("workers 2", "workers x")).unwrap_err();
+        assert!(e.to_string().contains("bad workers"), "{e}");
         assert_eq!(req.scheduler.quantum, 32);
         assert_eq!(req.scheduler.global_query_budget, Some(100));
         assert_eq!(req.scheduler.policy, crate::scheduler::SchedulePolicy::BudgetProportional);

@@ -7,25 +7,23 @@
 //! unique-query budget** that stops admission when the provider's quota
 //! is spent, and aggregated [`RewireStats`] across every rewiring job.
 //!
-//! Workers run on [`std::thread::scope`] threads over one
-//! [`SharedClient`], so a neighborhood paid for by one job is free for
-//! all. Results are deterministic regardless of thread interleaving:
-//! walkers keep private overlays and RNGs, and cached responses are
-//! identical no matter which job paid for them first. (The one
-//! exception: *which* job a global query budget interrupts first can
-//! vary with scheduling; per-job step budgets are always deterministic.)
+//! Jobs step on the calling thread over one [`SharedClient`], so a
+//! neighborhood paid for by one job is free for all. One loop pops the
+//! next job under the policy, checks the global budget, advances the
+//! job one quantum, then finalizes or re-queues it. Results, the bill
+//! and which jobs a global query budget cuts are therefore pure
+//! functions of the request: walkers keep private overlays and RNGs,
+//! and no thread timing decides the order of quanta.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mto_core::mto::{RewireStats, ScanProbe};
 use mto_core::walk::Walker;
 use mto_graph::NodeId;
 use mto_obs::{WallClockRegistry, WallClockScope, WallKey, WallStats};
 use mto_osn::{CachedClient, QueryClient, SharedClient, SocialNetworkInterface, VirtualClock};
-use parking_lot::Mutex;
 
-use crate::error::{Result, ServeError};
+use crate::error::Result;
 use crate::history::HistoryStore;
 use crate::session::{JobSpec, SamplerSession, SessionState};
 
@@ -84,10 +82,8 @@ impl SchedulePolicy {
 /// Scheduler tuning knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SchedulerConfig {
-    /// Worker threads (clamped to at least 1).
-    pub workers: usize,
-    /// Steps one session takes before yielding its worker — the fairness
-    /// quantum of the round-robin (the *base* quantum under
+    /// Steps one session takes before the next job's turn — the
+    /// fairness quantum of the round-robin (the *base* quantum under
     /// [`SchedulePolicy::BudgetProportional`]).
     pub quantum: usize,
     /// Optional cap on total unique queries across all jobs; jobs caught
@@ -100,7 +96,6 @@ pub struct SchedulerConfig {
 impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
-            workers: 4,
             quantum: 64,
             global_query_budget: None,
             policy: SchedulePolicy::RoundRobin,
@@ -195,14 +190,15 @@ pub struct ServeReport {
     pub aggregate_stats: RewireStats,
 }
 
-/// Runs many [`SamplerSession`]s concurrently over one shared client.
+/// Runs many [`SamplerSession`]s, interleaved in quanta, over one shared
+/// client.
 pub struct JobScheduler<I: SocialNetworkInterface> {
     client: SharedClient<I>,
     config: SchedulerConfig,
     clock: Option<VirtualClock>,
 }
 
-impl<I: SocialNetworkInterface + Send + Sync> JobScheduler<I> {
+impl<I: SocialNetworkInterface> JobScheduler<I> {
     /// A scheduler over a fresh (cold) client wrapping `interface`.
     pub fn new(interface: I, config: SchedulerConfig) -> Self {
         Self::with_client(SharedClient::new(CachedClient::new(interface)), config)
@@ -261,12 +257,10 @@ impl<I: SocialNetworkInterface + Send + Sync> JobScheduler<I> {
     }
 
     /// [`JobScheduler::run`] with the wall-clock telemetry plane: when
-    /// `wall` is given, each worker times its `session.advance` calls
-    /// and the totals land in the registry as `worker-service` keyed by
-    /// worker index. Results are identical to an uninstrumented run —
-    /// scopes only observe time around work that runs either way — and
-    /// workers accumulate locally, merging once at exit, so the hot loop
-    /// takes no extra locks.
+    /// `wall` is given, the loop times its `session.advance` calls and
+    /// the total lands in the registry as one `worker-service` key on
+    /// shard 0. Results are identical to an uninstrumented run — scopes
+    /// only observe time around work that runs either way.
     pub fn run_instrumented(
         &self,
         jobs: Vec<JobSpec>,
@@ -279,7 +273,7 @@ impl<I: SocialNetworkInterface + Send + Sync> JobScheduler<I> {
         // Create sessions up front, in submission order, so start-node
         // queries are charged deterministically. Each job carries its
         // policy-assigned quantum through the queue.
-        let mut sessions = Vec::with_capacity(total);
+        let mut queue = VecDeque::with_capacity(total);
         for (index, spec) in jobs.into_iter().enumerate() {
             let quantum = effective_quantum(
                 self.config.policy,
@@ -289,7 +283,7 @@ impl<I: SocialNetworkInterface + Send + Sync> JobScheduler<I> {
                 total,
             );
             let deadline = spec.deadline;
-            sessions.push(QueueEntry {
+            queue.push_back(QueueEntry {
                 index,
                 quantum,
                 deadline,
@@ -298,93 +292,35 @@ impl<I: SocialNetworkInterface + Send + Sync> JobScheduler<I> {
             });
         }
 
-        let queue: Mutex<VecDeque<QueueEntry<I>>> = Mutex::new(sessions.into_iter().collect());
-        let policy = self.config.policy;
-        let done: Mutex<Vec<(usize, JobOutcome)>> = Mutex::new(Vec::with_capacity(total));
-        let first_error: Mutex<Option<ServeError>> = Mutex::new(None);
-        let finished = AtomicUsize::new(0);
-        let budget = self.config.global_query_budget;
-        // Wall plane: workers accumulate into private `WallStats` and
-        // fold them in here once, after their loop exits.
-        let collected: Option<Mutex<WallClockRegistry>> =
-            wall.as_ref().map(|_| Mutex::new(WallClockRegistry::new()));
-
-        std::thread::scope(|scope| {
-            let (queue, done, first_error, finished, collected) =
-                (&queue, &done, &first_error, &finished, &collected);
-            for worker in 0..self.config.workers.max(1) {
-                scope.spawn(move || {
-                    let mut service = WallStats::default();
-                    loop {
-                        if first_error.lock().is_some() {
-                            break;
-                        }
-                        let item = pop_next(&mut queue.lock(), policy);
-                        let QueueEntry { index, quantum, deadline, skips: _, mut session } =
-                            match item {
-                                Some(s) => s,
-                                None => {
-                                    if finished.load(Ordering::Acquire) >= total {
-                                        break;
-                                    }
-                                    // Jobs are in flight on other workers
-                                    // and may be re-enqueued; don't exit,
-                                    // but also don't spin against the
-                                    // queue lock while we wait.
-                                    std::thread::sleep(std::time::Duration::from_micros(200));
-                                    continue;
-                                }
-                            };
-                        let over_budget = budget.is_some_and(|b| self.client.unique_queries() >= b);
-                        if !over_budget {
-                            let timer = collected.is_some().then(WallClockScope::start);
-                            let advanced = session.advance(quantum);
-                            if let Some(timer) = timer {
-                                service.absorb(timer.stop());
-                            }
-                            if let Err(e) = advanced {
-                                *first_error.lock() = Some(e);
-                                finished.fetch_add(1, Ordering::Release);
-                                continue;
-                            }
-                        }
-                        if over_budget || session.state() == SessionState::Completed {
-                            match finalize_session(&mut session, !over_budget) {
-                                Ok(outcome) => done.lock().push((index, outcome)),
-                                Err(e) => *first_error.lock() = Some(e),
-                            }
-                            finished.fetch_add(1, Ordering::Release);
-                        } else {
-                            // A job that just ran re-enters the queue
-                            // un-aged.
-                            queue.lock().push_back(QueueEntry {
-                                index,
-                                quantum,
-                                deadline,
-                                skips: 0,
-                                session,
-                            });
-                        }
-                    }
-                    if let Some(sink) = collected {
-                        if service.count > 0 {
-                            let key = WallKey::phase("worker-service").on_shard(worker as u64);
-                            sink.lock().record(key, service);
-                        }
-                    }
-                });
+        let mut done: Vec<(usize, JobOutcome)> = Vec::with_capacity(total);
+        let mut service = WallStats::default();
+        while let Some(mut entry) = pop_next(&mut queue, self.config.policy) {
+            let over_budget =
+                self.config.global_query_budget.is_some_and(|b| self.client.unique_queries() >= b);
+            if !over_budget {
+                let timer = wall.is_some().then(WallClockScope::start);
+                let advanced = entry.session.advance(entry.quantum);
+                if let Some(timer) = timer {
+                    service.absorb(timer.stop());
+                }
+                advanced?;
             }
-        });
+            if over_budget || entry.session.state() == SessionState::Completed {
+                done.push((entry.index, finalize_session(&mut entry.session, !over_budget)?));
+            } else {
+                // A job that just ran re-enters the queue un-aged.
+                entry.skips = 0;
+                queue.push_back(entry);
+            }
+        }
+        if let Some(wall) = wall {
+            if service.count > 0 {
+                wall.record(WallKey::phase("worker-service").on_shard(0), service);
+            }
+        }
 
-        if let (Some(wall), Some(collected)) = (wall, collected) {
-            wall.merge(&collected.into_inner());
-        }
-        if let Some(e) = first_error.lock().take() {
-            return Err(e);
-        }
-        let mut outcomes = done.into_inner();
-        outcomes.sort_unstable_by_key(|(index, _)| *index);
-        let outcomes: Vec<JobOutcome> = outcomes.into_iter().map(|(_, o)| o).collect();
+        done.sort_unstable_by_key(|(index, _)| *index);
+        let outcomes: Vec<JobOutcome> = done.into_iter().map(|(_, o)| o).collect();
         let mut aggregate_stats = RewireStats::default();
         for o in &outcomes {
             if let Some(s) = o.stats {
@@ -513,7 +449,7 @@ mod quality_tests {
     use mto_osn::OsnService;
 
     #[test]
-    fn quality_fold_is_worker_count_invariant() {
+    fn quality_fold_is_quantum_invariant() {
         let jobs = vec![
             JobSpec {
                 id: "m".into(),
@@ -532,18 +468,18 @@ mod quality_tests {
                 ess: None,
             },
         ];
-        let reports: Vec<_> = [1usize, 4]
+        let reports: Vec<_> = [16usize, 64]
             .into_iter()
-            .map(|workers| {
+            .map(|quantum| {
                 let sched = JobScheduler::new(
                     OsnService::with_defaults(&paper_barbell()),
-                    SchedulerConfig { workers, ..Default::default() },
+                    SchedulerConfig { quantum, ..Default::default() },
                 );
                 let report = sched.run(jobs.clone()).unwrap();
                 fold_quality(sched.client(), &jobs, &report.outcomes).report()
             })
             .collect();
-        assert_eq!(reports[0], reports[1], "quality figures are worker-count invariant");
+        assert_eq!(reports[0], reports[1], "quality figures are quantum invariant");
         assert_eq!(reports[0].jobs["m"].samples, 401, "seed position + every step");
         assert_eq!(reports[0].jobs["m"].target_ess, Some(30));
         assert!(reports[0].rhat.is_some(), "two jobs give a cross-chain R-hat");
@@ -600,7 +536,7 @@ mod tests {
     fn scheduler_runs_heterogeneous_jobs_to_their_budgets() {
         let scheduler = JobScheduler::new(
             OsnService::with_defaults(&paper_barbell()),
-            SchedulerConfig { workers: 3, quantum: 32, ..Default::default() },
+            SchedulerConfig { quantum: 32, ..Default::default() },
         );
         let report = scheduler.run(mixed_jobs()).unwrap();
         assert_eq!(report.outcomes.len(), 4);
@@ -623,19 +559,19 @@ mod tests {
 
     #[test]
     fn scheduler_results_are_deterministic_across_interleavings() {
-        let run = |workers| {
+        let run = |quantum| {
             let scheduler = JobScheduler::new(
                 OsnService::with_defaults(&paper_barbell()),
-                SchedulerConfig { workers, quantum: 16, ..Default::default() },
+                SchedulerConfig { quantum, ..Default::default() },
             );
             scheduler.run(mixed_jobs()).unwrap()
         };
-        let a = run(1);
-        let b = run(4);
+        let a = run(16);
+        let b = run(5);
         assert_eq!(a.total_unique_queries, b.total_unique_queries);
         for (oa, ob) in a.outcomes.iter().zip(&b.outcomes) {
             assert_eq!(oa.id, ob.id);
-            assert_eq!(oa.history, ob.history, "job {} diverged across worker counts", oa.id);
+            assert_eq!(oa.history, ob.history, "job {} diverged across quanta", oa.id);
             assert_eq!(oa.stats, ob.stats);
             assert_eq!(oa.avg_degree_estimate, ob.avg_degree_estimate);
         }
@@ -646,7 +582,7 @@ mod tests {
         let run = |wall: Option<&mut WallClockRegistry>| {
             let scheduler = JobScheduler::new(
                 OsnService::with_defaults(&paper_barbell()),
-                SchedulerConfig { workers: 2, quantum: 16, ..Default::default() },
+                SchedulerConfig { quantum: 16, ..Default::default() },
             );
             scheduler.run_instrumented(mixed_jobs(), wall).unwrap()
         };
@@ -659,12 +595,13 @@ mod tests {
             assert_eq!(a.stats, b.stats);
             assert_eq!((a.steps, a.completed), (b.steps, b.completed));
         }
-        assert!(!wall.is_empty(), "instrumented workers must report service time");
+        assert!(!wall.is_empty(), "an instrumented run must report service time");
+        assert_eq!(wall.len(), 1, "one stepping loop, one key");
         let total = wall.total();
         assert!(total.count > 0 && total.nanos > 0, "{total:?}");
         for (key, _) in wall.iter() {
             assert_eq!(key.phase, "worker-service");
-            assert!(key.shard.is_some(), "worker attribution required");
+            assert_eq!(key.shard, Some(0), "the loop reports as shard 0");
             assert_eq!(key.epoch, None, "the plain scheduler has no epochs");
         }
     }
@@ -675,12 +612,7 @@ mod tests {
         // finish their walks' discovery phase.
         let scheduler = JobScheduler::new(
             OsnService::with_defaults(&paper_barbell()),
-            SchedulerConfig {
-                workers: 2,
-                quantum: 8,
-                global_query_budget: Some(3),
-                ..Default::default()
-            },
+            SchedulerConfig { quantum: 8, global_query_budget: Some(3), ..Default::default() },
         );
         let report = scheduler.run(mixed_jobs()).unwrap();
         assert!(
@@ -716,7 +648,7 @@ mod tests {
         let run = |policy| {
             let scheduler = JobScheduler::new(
                 OsnService::with_defaults(&paper_barbell()),
-                SchedulerConfig { workers: 3, quantum: 16, policy, ..Default::default() },
+                SchedulerConfig { quantum: 16, policy, ..Default::default() },
             );
             scheduler.run(mixed_jobs()).unwrap()
         };
@@ -748,20 +680,20 @@ mod tests {
     }
 
     #[test]
-    fn edf_policy_reproduces_round_robin_results_across_worker_counts() {
-        let run = |policy, workers| {
+    fn edf_policy_reproduces_round_robin_results_across_quanta() {
+        let run = |policy, quantum| {
             let scheduler = JobScheduler::new(
                 OsnService::with_defaults(&paper_barbell()),
-                SchedulerConfig { workers, quantum: 16, policy, ..Default::default() },
+                SchedulerConfig { quantum, policy, ..Default::default() },
             );
             scheduler.run(mixed_jobs()).unwrap()
         };
-        let rr = run(SchedulePolicy::RoundRobin, 3);
-        for workers in [1, 4] {
-            let edf = run(SchedulePolicy::EarliestDeadlineFirst, workers);
+        let rr = run(SchedulePolicy::RoundRobin, 16);
+        for quantum in [5, 40] {
+            let edf = run(SchedulePolicy::EarliestDeadlineFirst, quantum);
             assert_eq!(rr.total_unique_queries, edf.total_unique_queries);
             for (a, b) in rr.outcomes.iter().zip(&edf.outcomes) {
-                assert_eq!(a.history, b.history, "EDF changed job {} at W={workers}", a.id);
+                assert_eq!(a.history, b.history, "EDF changed job {} at quantum={quantum}", a.id);
                 assert_eq!(a.stats, b.stats);
                 assert_eq!((a.steps, a.completed), (b.steps, b.completed));
             }

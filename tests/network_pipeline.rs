@@ -88,7 +88,6 @@ fn scheduler_reports_virtual_wall_clock_through_the_timed_interface() {
     let scheduler = JobScheduler::new(
         timed,
         SchedulerConfig {
-            workers: 2,
             quantum: 32,
             policy: SchedulePolicy::BudgetProportional,
             ..Default::default()

@@ -104,25 +104,25 @@ proptest! {
     }
 
     #[test]
-    fn edf_results_match_round_robin_across_workers_and_shards(
+    fn edf_results_match_round_robin_across_quanta_and_shards(
         raw in vec(job_strategy(), 1..6),
-        workers in 1usize..5,
+        edf_quantum in 8usize..64,
         shards in 1usize..5,
         quantum in 8usize..64,
     ) {
         let jobs = build_jobs(&raw);
 
-        // Scheduler: EDF at any worker count reproduces fair results.
-        let serve = |policy, workers| {
+        // Scheduler: EDF at any quantum reproduces fair results.
+        let serve = |policy, quantum| {
             JobScheduler::new(
                 OsnService::with_defaults(&paper_barbell()),
-                SchedulerConfig { workers, quantum, policy, ..Default::default() },
+                SchedulerConfig { quantum, policy, ..Default::default() },
             )
             .run(jobs.clone())
             .expect("scheduler run")
         };
-        let fair = serve(SchedulePolicy::RoundRobin, 1);
-        let edf = serve(SchedulePolicy::EarliestDeadlineFirst, workers);
+        let fair = serve(SchedulePolicy::RoundRobin, quantum);
+        let edf = serve(SchedulePolicy::EarliestDeadlineFirst, edf_quantum);
         for (a, b) in fair.outcomes.iter().zip(&edf.outcomes) {
             prop_assert_eq!(&a.history, &b.history, "scheduler EDF diverged for {}", a.id);
             prop_assert_eq!(a.stats, b.stats);

@@ -87,7 +87,7 @@ fn resume_against_wrong_network_is_rejected() {
 }
 
 /// The scheduler runs heterogeneous jobs over one shared budget and its
-/// results do not depend on worker count or interleaving.
+/// results do not depend on the quantum, i.e. on how the jobs interleave.
 #[test]
 fn scheduler_shares_budget_and_is_deterministic() {
     let jobs = || {
@@ -104,17 +104,15 @@ fn scheduler_shares_budget_and_is_deterministic() {
             },
         ]
     };
-    let run = |workers| {
-        let scheduler = JobScheduler::new(
-            mini_service(),
-            SchedulerConfig { workers, quantum: 37, ..Default::default() },
-        );
+    let run = |quantum| {
+        let scheduler =
+            JobScheduler::new(mini_service(), SchedulerConfig { quantum, ..Default::default() });
         scheduler.run(jobs()).unwrap()
     };
-    let solo = run(1);
-    let fleet = run(4);
-    assert_eq!(solo.total_unique_queries, fleet.total_unique_queries);
-    for (a, b) in solo.outcomes.iter().zip(&fleet.outcomes) {
+    let coarse = run(37);
+    let fine = run(5);
+    assert_eq!(coarse.total_unique_queries, fine.total_unique_queries);
+    for (a, b) in coarse.outcomes.iter().zip(&fine.outcomes) {
         assert_eq!(a.id, b.id);
         assert!(a.completed && b.completed);
         assert_eq!(a.history, b.history, "job {} depends on interleaving", a.id);
@@ -130,9 +128,9 @@ fn scheduler_shares_budget_and_is_deterministic() {
         })
         .sum();
     assert!(
-        solo.total_unique_queries < independent,
+        coarse.total_unique_queries < independent,
         "shared {} vs independent {}",
-        solo.total_unique_queries,
+        coarse.total_unique_queries,
         independent
     );
 }
@@ -171,12 +169,7 @@ fn warm_started_scheduler_is_strictly_cheaper() {
 fn global_query_budget_interrupts_cleanly() {
     let scheduler = JobScheduler::new(
         mini_service(),
-        SchedulerConfig {
-            workers: 2,
-            quantum: 16,
-            global_query_budget: Some(25),
-            ..Default::default()
-        },
+        SchedulerConfig { quantum: 16, global_query_budget: Some(25), ..Default::default() },
     );
     let report = scheduler.run(vec![mto_job("a", 0, 3_000, 5), mto_job("b", 1, 3_000, 6)]).unwrap();
     assert_eq!(report.outcomes.len(), 2, "interrupted jobs still report");
