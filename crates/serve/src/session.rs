@@ -534,21 +534,31 @@ impl<I: SocialNetworkInterface> SamplerSession<I> {
     /// visited history — the standing deliverable of an estimation job.
     /// Free: every visited node is cached, and weights come from the
     /// walker's own stationary distribution.
+    ///
+    /// One pass over the history, read in place. Each distinct node's
+    /// weight and degree are looked up once, at its first visit, into a
+    /// table indexed by node id (ids are dense); the sums run in visit
+    /// order, so the estimate is bit-for-bit the per-visit sum.
     pub fn average_degree_estimate(&mut self) -> Result<Option<f64>> {
-        let history: Vec<NodeId> = self.walker.history().to_vec();
-        let mut weight_of: HashMap<NodeId, f64> = HashMap::new();
+        // (weight, weight × degree) per node id, filled at first visit.
+        let mut memo: Vec<Option<(f64, f64)>> = Vec::new();
         let (mut num, mut den) = (0.0f64, 0.0f64);
-        for v in history {
-            let weight = match weight_of.entry(v) {
-                std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    *e.insert(self.walker.importance_weight(v)?)
+        for i in 0..self.walker.history().len() {
+            let v = self.walker.history()[i];
+            if v.index() >= memo.len() {
+                memo.resize(v.index() + 1, None);
+            }
+            let (weight, weighted_degree) = match memo[v.index()] {
+                Some(entry) => entry,
+                None => {
+                    let weight = self.walker.importance_weight(v)?;
+                    let degree = self.client.with(|c| c.known_degree(v)).ok_or_else(|| {
+                        ServeError::SnapshotMismatch(format!("visited node {v} is not cached"))
+                    })?;
+                    *memo[v.index()].insert((weight, weight * degree as f64))
                 }
             };
-            let degree = self.client.with(|c| c.known_degree(v)).ok_or_else(|| {
-                ServeError::SnapshotMismatch(format!("visited node {v} is not cached"))
-            })?;
-            num += weight * degree as f64;
+            num += weighted_degree;
             den += weight;
         }
         Ok((den > 0.0).then(|| num / den))
@@ -1013,6 +1023,93 @@ mod tests {
             (est - truth).abs() / truth < 0.35,
             "estimate {est:.2} too far from truth {truth:.2}"
         );
+    }
+
+    /// The per-visit estimate the one-pass version replaced: a hashed
+    /// weight memo and one client lock per visit, over a copy of the
+    /// history. Kept as the reference the one-pass version must match.
+    fn per_visit_average_degree_estimate<I: SocialNetworkInterface>(
+        session: &mut SamplerSession<I>,
+    ) -> Result<Option<f64>> {
+        let history: Vec<NodeId> = session.walker.history().to_vec();
+        let mut weight_of: HashMap<NodeId, f64> = HashMap::new();
+        let (mut num, mut den) = (0.0f64, 0.0f64);
+        for v in history {
+            let weight = match weight_of.entry(v) {
+                std::collections::hash_map::Entry::Occupied(e) => *e.get(),
+                std::collections::hash_map::Entry::Vacant(e) => {
+                    *e.insert(session.walker.importance_weight(v)?)
+                }
+            };
+            let degree = session.client.with(|c| c.known_degree(v)).ok_or_else(|| {
+                ServeError::SnapshotMismatch(format!("visited node {v} is not cached"))
+            })?;
+            num += weight * degree as f64;
+            den += weight;
+        }
+        Ok((den > 0.0).then(|| num / den))
+    }
+
+    #[test]
+    fn one_pass_estimate_matches_the_per_visit_reference() {
+        use crate::request::NetworkSpec;
+        use mto_core::walk::{MhrwConfig, RjConfig, SrwConfig};
+
+        let barbell = paper_barbell();
+        let gnp = NetworkSpec::Gnp { n: 400, p: 0.02, seed: 5 }.build();
+        let algos = [
+            AlgoSpec::Mto(MtoConfig { seed: 3, ..Default::default() }),
+            AlgoSpec::Srw(SrwConfig { seed: 4, lazy: false }),
+            AlgoSpec::Mhrw(MhrwConfig { seed: 5 }),
+            AlgoSpec::Rj(RjConfig { seed: 6, ..Default::default() }),
+        ];
+        for (name, graph) in [("barbell", &barbell), ("gnp", &gnp)] {
+            // A cold crawl of the graph, to warm-start a client from.
+            let crawl = SharedClient::new(CachedClient::new(OsnService::with_defaults(graph)));
+            let mut crawler = SamplerSession::create(crawl.clone(), mto_job("crawl", 1500, 9))
+                .expect("crawl session");
+            crawler.run_to_completion().unwrap();
+            let store = crawl.with(|c| HistoryStore::from_client(c));
+
+            for algo in algos {
+                for warm in [false, true] {
+                    // The estimate's bits and the lookups it adds, on a
+                    // fresh client walked by the same job.
+                    let estimate = |one_pass: bool| {
+                        let service = OsnService::with_defaults(graph);
+                        let client = SharedClient::new(if warm {
+                            store.warm_start(service).unwrap()
+                        } else {
+                            CachedClient::new(service)
+                        });
+                        let spec = JobSpec {
+                            id: "j".into(),
+                            algo,
+                            start: NodeId(1),
+                            step_budget: 800,
+                            deadline: None,
+                            ess: None,
+                        };
+                        let mut s = SamplerSession::create(client.clone(), spec).unwrap();
+                        s.run_to_completion().unwrap();
+                        let before = client.with(|c| c.total_lookups());
+                        let est = if one_pass {
+                            s.average_degree_estimate()
+                        } else {
+                            per_visit_average_degree_estimate(&mut s)
+                        };
+                        let est = est.unwrap().expect("a walked history has an estimate");
+                        (est.to_bits(), client.with(|c| c.total_lookups()) - before)
+                    };
+                    let (reference, one_pass) = (estimate(false), estimate(true));
+                    let case = format!("{} on {name}, warm={warm}", algo.name());
+                    assert_eq!(one_pass, reference, "{case}: (bits, added lookups) differ");
+                    if matches!(algo, AlgoSpec::Srw(_)) {
+                        assert!(reference.1 > 0, "{case}: SRW weights look degrees up");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
