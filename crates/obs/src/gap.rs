@@ -12,8 +12,9 @@
 //!
 //! Only the epoch structure comes from the trace; every wall figure
 //! comes from the dump. Phases without an `epoch` label (pipeline
-//! replay, history encode/decode, scheduler workers) land in a separate
-//! `unattributed` section rather than being smeared across rows.
+//! replay, history encode/decode, the scheduler's stepping loop) land
+//! in a separate `unattributed` section rather than being smeared
+//! across rows.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -14,9 +14,9 @@
 //! identically either way.
 //!
 //! Threading model: there are no global registries and no locks on the
-//! hot path. Each thread (fleet shard, scheduler worker) accumulates
-//! into its own registry or raw nanosecond cell; owners merge serially
-//! at the same barriers where deterministic state merges. Merging is a
+//! hot path. Each fleet shard thread accumulates into its own registry
+//! or raw nanosecond cell; owners merge serially at the same barriers
+//! where deterministic state merges. Merging is a
 //! plain per-key sum — associative and commutative — so the *schema* of
 //! a wall dump is stable even though its figures, being real time, never
 //! are.
@@ -71,7 +71,7 @@ impl WallStats {
 }
 
 /// Where a wall observation belongs: a phase name plus optional epoch
-/// and shard (or worker) attribution. Ordered so registry iteration —
+/// and shard attribution. Ordered so registry iteration —
 /// and therefore every rendered dump — is deterministic in *schema*
 /// (phase, then epoch, then shard) even though the figures are not.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -82,7 +82,8 @@ pub struct WallKey {
     pub phase: &'static str,
     /// Fleet epoch the observation belongs to, when attributable.
     pub epoch: Option<u64>,
-    /// Shard (or scheduler worker) index, when attributable.
+    /// Shard index, when attributable (the single-client scheduler's
+    /// stepping loop reports as shard 0).
     pub shard: Option<u64>,
 }
 
@@ -98,7 +99,7 @@ impl WallKey {
         self
     }
 
-    /// Attributes the key to shard (or worker) `s`.
+    /// Attributes the key to shard `s`.
     pub fn on_shard(mut self, s: u64) -> WallKey {
         self.shard = Some(s);
         self
