@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 use mto_core::mto::{RewireStats, ScanProbe};
 use mto_core::walk::Walker;
 use mto_graph::NodeId;
-use mto_obs::{WallClockRegistry, WallClockScope, WallKey, WallStats};
+use mto_obs::{WallClockRegistry, WallClockScope, WallKey};
 use mto_osn::{CachedClient, QueryClient, SharedClient, SocialNetworkInterface, VirtualClock};
 
 use crate::error::Result;
@@ -264,7 +264,7 @@ impl<I: SocialNetworkInterface> JobScheduler<I> {
     pub fn run_instrumented(
         &self,
         jobs: Vec<JobSpec>,
-        wall: Option<&mut WallClockRegistry>,
+        mut wall: Option<&mut WallClockRegistry>,
     ) -> Result<ServeReport> {
         let total = jobs.len();
         // Saturating: step budgets are user input and may sum past usize.
@@ -293,15 +293,14 @@ impl<I: SocialNetworkInterface> JobScheduler<I> {
         }
 
         let mut done: Vec<(usize, JobOutcome)> = Vec::with_capacity(total);
-        let mut service = WallStats::default();
         while let Some(mut entry) = pop_next(&mut queue, self.config.policy) {
             let over_budget =
                 self.config.global_query_budget.is_some_and(|b| self.client.unique_queries() >= b);
             if !over_budget {
                 let timer = wall.is_some().then(WallClockScope::start);
                 let advanced = entry.session.advance(entry.quantum);
-                if let Some(timer) = timer {
-                    service.absorb(timer.stop());
+                if let (Some(timer), Some(wall)) = (timer, wall.as_deref_mut()) {
+                    timer.stop_into(wall, WallKey::phase("worker-service").on_shard(0));
                 }
                 advanced?;
             }
@@ -313,12 +312,6 @@ impl<I: SocialNetworkInterface> JobScheduler<I> {
                 queue.push_back(entry);
             }
         }
-        if let Some(wall) = wall {
-            if service.count > 0 {
-                wall.record(WallKey::phase("worker-service").on_shard(0), service);
-            }
-        }
-
         done.sort_unstable_by_key(|(index, _)| *index);
         let outcomes: Vec<JobOutcome> = done.into_iter().map(|(_, o)| o).collect();
         let mut aggregate_stats = RewireStats::default();
