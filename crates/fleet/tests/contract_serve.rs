@@ -29,14 +29,14 @@ job id=warm algo=mto start=0 steps=400 seed=21
 ";
 
 /// A temp dir for one test, removed when the test passes.
-struct Scratch(PathBuf);
+struct TempDir(PathBuf);
 
-impl Scratch {
-    fn new(test: &str) -> Scratch {
+impl TempDir {
+    fn new(test: &str) -> TempDir {
         let dir =
             std::env::temp_dir().join(format!("mto-contract-serve-{test}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        Scratch(dir)
+        TempDir(dir)
     }
 
     fn path(&self, name: &str) -> PathBuf {
@@ -73,7 +73,7 @@ fn read(path: &Path) -> String {
 }
 
 /// `mto_serve run` of the smoke request; returns its report.
-fn run_smoke(dir: &Scratch) -> String {
+fn run_smoke(dir: &TempDir) -> String {
     let (req, out) = (dir.request("smoke.req", SMOKE), dir.path("smoke.cold.txt"));
     mto_serve(&[Path::new("run"), &req, Path::new("--out"), &out]);
     read(&out)
@@ -94,7 +94,7 @@ fn final_node(report: &str, id: &str) -> String {
 
 #[test]
 fn run_completes_the_smoke_request() {
-    let dir = Scratch::new("run");
+    let dir = TempDir::new("run");
     let report = run_smoke(&dir);
     assert!(report.contains("completed=1"), "no completed job in:\n{report}");
     dir.finish();
@@ -102,7 +102,7 @@ fn run_completes_the_smoke_request() {
 
 #[test]
 fn snapshot_then_resume_lands_on_the_run_final_node() {
-    let dir = Scratch::new("resume");
+    let dir = TempDir::new("resume");
     let cold = run_smoke(&dir);
     let (session, resumed) = (dir.path("smoke.session"), dir.path("smoke.resumed.txt"));
     mto_serve(&[
@@ -126,7 +126,7 @@ fn snapshot_then_resume_lands_on_the_run_final_node() {
 
 #[test]
 fn warm_start_from_the_saved_history_pays_nothing() {
-    let dir = Scratch::new("warm");
+    let dir = TempDir::new("warm");
     run_smoke(&dir);
     let (req, out) = (dir.request("warm.req", WARM), dir.path("smoke.warm.txt"));
     mto_serve(&[Path::new("run"), &req, Path::new("--out"), &out]);
