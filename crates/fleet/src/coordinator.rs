@@ -88,10 +88,10 @@ use mto_serve::session::{JobSpec, SampleObserver, SamplerSession, SessionState};
 use crate::plan::ShardPlan;
 use crate::report::{EpochReport, FleetObsData, FleetReport, LedgerSummary};
 
-/// The order in which the shards' gossip deltas — and, at finalize,
-/// their full stores — are folded into the union. Merge is keep-first,
-/// so the order can only matter when shards *disagree* about the
-/// network, breaking the factory's same-network contract. The rule then:
+/// The order in which the shards' gossip deltas are folded into the
+/// merged delta, and in which finalize builds the union store. Merge is
+/// keep-first, so the order can only matter when shards *disagree* about
+/// the network, breaking the factory's same-network contract. The rule then:
 /// a conflict is counted once, at the barrier where two deltas disagree,
 /// and every shard leaves that barrier holding the version folded first.
 /// The determinism proptests run both orders to witness that honest
@@ -373,8 +373,17 @@ impl<I: SocialNetworkInterface> Shard<I> {
     /// The gossip delta: the responses this shard paid for since it last
     /// gossiped, ascending. Moves the gossip mark to now.
     fn take_delta(&mut self) -> HistoryStore {
+        let mut mark = self.gossiped;
+        let delta = self.delta_since(&mut mark);
+        self.gossiped = mark;
+        delta
+    }
+
+    /// The responses this shard paid for past `mark` in its paid log,
+    /// ascending, as a store; moves `mark` to the end of the log.
+    fn delta_since(&self, mark: &mut usize) -> HistoryStore {
         self.client.with(|c| {
-            let fresh = paid_since(c, &mut self.gossiped);
+            let fresh = paid_since(c, mark);
             let responses =
                 fresh.into_iter().map(|v| c.cached(v).expect("a paid node is cached")).collect();
             HistoryStore {
@@ -976,8 +985,7 @@ impl<'a, I: SocialNetworkInterface + Send + Sync> FleetRun<'a, I> {
 
     /// Folds one store per shard (in shard order) keep-first into a union
     /// in the configured [`MergeOrder`]: the union and the conflicts its
-    /// merges resolved. Gossip folds the shards' deltas; finalize folds
-    /// their full stores once.
+    /// merges resolved. Gossip barriers fold the shards' deltas with it.
     fn fold_union(&self, stores: &[HistoryStore]) -> Result<(HistoryStore, u64)> {
         let mut union = HistoryStore::default();
         let mut conflicts = 0u64;
@@ -1086,22 +1094,48 @@ impl<'a, I: SocialNetworkInterface + Send + Sync> FleetRun<'a, I> {
 
     /// The fleet-wide union store — every shard's cache plus every
     /// rewiring walker's overlay delta (shard by shard, each in account
-    /// order) — and the conflicts its folds resolved.
+    /// order) — and the conflicts its folds resolved, built in one pass.
+    ///
+    /// It starts from the export of the shard folded first in
+    /// [`MergeOrder`]. Every barrier imports the merged delta into every
+    /// shard, so another shard can add only what it paid past its gossip
+    /// mark: that is folded in keep-first, and every shard's counters are
+    /// summed. This equals the keep-first fold of every shard's full
+    /// export. After the last barrier of a gossiping fleet, and at
+    /// `W = 1`, there is nothing left to fold; with gossip off, or in a
+    /// run that crossed no barrier, each shard's own payments are folded.
+    /// Degree hints come only from the warm start, which every shard
+    /// imports, so the first export holds them all; a hint a response
+    /// shadows is dropped, and a wrong one is one conflict.
     fn union_store(&self) -> Result<(HistoryStore, u64)> {
-        let stores: Vec<HistoryStore> =
-            self.shards.iter().map(|s| s.client.with(|c| HistoryStore::from_client(c))).collect();
-        let (mut union, mut conflicts) = self.fold_union(&stores)?;
+        let mut order: Vec<&Shard<I>> = self.shards.iter().collect();
+        if self.config.merge_order == MergeOrder::Reverse {
+            order.reverse();
+        }
+        let Some((first, rest)) = order.split_first() else {
+            return Ok((HistoryStore::default(), 0));
+        };
+        let mut union = first.client.with(|c| HistoryStore::from_client(c));
+        let mut conflicts = 0u64;
+        for shard in rest {
+            // A copy of the gossip mark: building the union moves nothing.
+            let delta = shard.delta_since(&mut shard.gossiped.clone());
+            conflicts += union.merge(&delta).map_err(ServeError::SnapshotMismatch)?.conflicts;
+            shard.client.with(|c| {
+                union.cache.unique_queries += c.unique_queries();
+                union.cache.total_lookups += c.total_lookups();
+                union.cache.transient_retries += c.transient_retries();
+            });
+        }
+        conflicts += union.drop_shadowed_hints();
         let mut by_shard: Vec<&Slot<I>> = self.slots.iter().collect();
         by_shard.sort_by_key(|slot| slot.shard);
         for slot in by_shard {
             if let Some(delta) = slot.session.walker().overlay() {
-                let overlay_only = HistoryStore {
-                    removed: delta.removed_edges().map(|e| (e.small(), e.large())).collect(),
-                    added: delta.added_edges().map(|e| (e.small(), e.large())).collect(),
-                    ..Default::default()
-                };
-                let outcome = union.merge(&overlay_only).map_err(ServeError::SnapshotMismatch)?;
-                conflicts += outcome.conflicts;
+                let removed: Vec<_> =
+                    delta.removed_edges().map(|e| (e.small(), e.large())).collect();
+                let added: Vec<_> = delta.added_edges().map(|e| (e.small(), e.large())).collect();
+                conflicts += union.merge_overlay(&removed, &added).conflicts;
             }
         }
         Ok((union, conflicts))
@@ -1566,8 +1600,18 @@ mod tests {
             .collect()
     }
 
-    /// Runs `jobs` on a G(n, p) whose shard 1 crawls a different G(n, p)
-    /// of the same size, breaking the same-network contract. The loop is
+    /// A G(n, p) factory whose shard 1 crawls a different G(n, p) of the
+    /// same size, breaking the same-network contract.
+    fn split_brain(n: usize, p: f64) -> impl Fn(usize) -> OsnService {
+        use rand::SeedableRng;
+        move |s| {
+            let seed = if s == 1 { 8 } else { 7 };
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            OsnService::with_defaults(&mto_graph::generators::gnp_graph(n, p, &mut rng))
+        }
+    }
+
+    /// Runs `jobs` on [`split_brain`]'s networks. The loop is
     /// [`FleetCoordinator::run`]'s, with each barrier's hand-off checked
     /// against keep-first worked out by hand: a node paid for by several
     /// shards in one epoch takes the version of the first in fold order,
@@ -1578,12 +1622,7 @@ mod tests {
         (n, p): (usize, f64),
         jobs: Vec<JobSpec>,
     ) -> FleetReport {
-        use rand::SeedableRng;
-        let factory = |s: usize| {
-            let seed = if s == 1 { 8 } else { 7 };
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            OsnService::with_defaults(&mto_graph::generators::gnp_graph(n, p, &mut rng))
-        };
+        let factory = split_brain(n, p);
         let mut run = FleetRun::admit(&config, None, factory(0).num_users_hint(), jobs).unwrap();
         run.build_shards(&factory).unwrap();
         while let Some(grants) = run.plan() {
@@ -1622,7 +1661,164 @@ mod tests {
             }
             run.close_epoch(report);
         }
-        run.finalize().unwrap()
+        let (report, conflicts) = finalize_against_reference(run);
+        assert_eq!(report.merge_conflicts, conflicts, "counted as the reference fold counts");
+        report
+    }
+
+    /// The union fold [`FleetRun::union_store`] replaced, kept as its
+    /// reference: every shard's full export keep-first in merge order,
+    /// then one `merge` per rewiring walker's overlay, shard by shard.
+    /// Returns the union and the run's total conflicts under that fold.
+    fn reference_union<I: SocialNetworkInterface + Send + Sync>(
+        run: &FleetRun<'_, I>,
+    ) -> (HistoryStore, u64) {
+        let stores: Vec<HistoryStore> =
+            run.shards.iter().map(|s| s.client.with(|c| HistoryStore::from_client(c))).collect();
+        let (mut union, mut conflicts) = run.fold_union(&stores).unwrap();
+        let mut by_shard: Vec<&Slot<I>> = run.slots.iter().collect();
+        by_shard.sort_by_key(|slot| slot.shard);
+        for slot in by_shard {
+            if let Some(delta) = slot.session.walker().overlay() {
+                let overlay_only = HistoryStore {
+                    removed: delta.removed_edges().map(|e| (e.small(), e.large())).collect(),
+                    added: delta.added_edges().map(|e| (e.small(), e.large())).collect(),
+                    ..Default::default()
+                };
+                conflicts += union.merge(&overlay_only).unwrap().conflicts;
+            }
+        }
+        let at_barriers: u64 = run.epochs.iter().map(|e| e.merge_conflicts).sum();
+        (union, at_barriers + conflicts)
+    }
+
+    /// Checks that [`FleetRun::union_store`] encodes to the bytes of
+    /// [`reference_union`]'s, then finalizes `run`. Returns the report
+    /// and the reference's conflict total. The union is read-only, so
+    /// building it here leaves finalize's own union unchanged.
+    fn finalize_against_reference<I: SocialNetworkInterface + Send + Sync>(
+        run: FleetRun<'_, I>,
+    ) -> (FleetReport, u64) {
+        let (reference, conflicts) = reference_union(&run);
+        let (union, _) = run.union_store().unwrap();
+        let label = format!("W={} {:?}", run.shards.len(), run.config.merge_order);
+        assert_eq!(union.encode(), reference.encode(), "{label}: union bytes");
+        (run.finalize().unwrap(), conflicts)
+    }
+
+    /// Runs `jobs` as [`FleetCoordinator::run`] does, then
+    /// [`finalize_against_reference`].
+    fn run_against_reference(
+        config: &FleetConfig,
+        factory: impl Fn(usize) -> OsnService,
+        warm_start: Option<&HistoryStore>,
+        jobs: Vec<JobSpec>,
+    ) -> (FleetReport, u64) {
+        let num_users = factory(0).num_users_hint();
+        let mut run = FleetRun::admit(config, warm_start, num_users, jobs).unwrap();
+        run.build_shards(&factory).unwrap();
+        while let Some(grants) = run.plan() {
+            run.step(&grants).unwrap();
+            run.quality_barrier();
+            let mut report = run.settle();
+            run.gossip(&mut report).unwrap();
+            run.close_epoch(report);
+        }
+        finalize_against_reference(run)
+    }
+
+    /// Every mixed job with a zero step budget: they bill only their
+    /// start nodes (0, 11, 5 and 16), and no barrier runs.
+    fn zero_step_jobs() -> Vec<JobSpec> {
+        mixed_jobs().into_iter().map(|job| JobSpec { step_budget: 0, ..job }).collect()
+    }
+
+    /// Every combination of `W` ∈ {1, 2, 3}, merge order and gossip.
+    fn union_configs() -> Vec<FleetConfig> {
+        let mut configs = Vec::new();
+        for shards in [1, 2, 3] {
+            for merge_order in [MergeOrder::Forward, MergeOrder::Reverse] {
+                for gossip in [true, false] {
+                    configs.push(FleetConfig {
+                        shards,
+                        merge_order,
+                        gossip,
+                        epoch_quantum: 32,
+                        ..Default::default()
+                    });
+                }
+            }
+        }
+        configs
+    }
+
+    #[test]
+    fn the_union_equals_the_fold_of_every_full_export() {
+        // A warm store holding nodes 0..=10, one bell of the barbell, so
+        // warm runs still pay for the other.
+        let mut client = CachedClient::new(OsnService::with_defaults(&paper_barbell()));
+        for v in 0..11 {
+            client.query(NodeId(v)).unwrap();
+        }
+        let warm = HistoryStore::from_client(&client);
+        let barbell = |_| OsnService::with_defaults(&paper_barbell());
+        for config in union_configs() {
+            let label =
+                format!("W={} {:?} gossip={}", config.shards, config.merge_order, config.gossip);
+            for warm_start in [None, Some(&warm)] {
+                let (report, conflicts) =
+                    run_against_reference(&config, barbell, warm_start, mixed_jobs());
+                assert_eq!((report.merge_conflicts, conflicts), (0, 0), "{label}");
+                let (report, conflicts) =
+                    run_against_reference(&config, barbell, warm_start, zero_step_jobs());
+                assert_eq!((report.merge_conflicts, conflicts), (0, 0), "{label}");
+                assert!(report.epochs.is_empty(), "{label}: zero-step jobs cross no barrier");
+                // Every start node, whichever shard paid it; warm, nodes
+                // 11 and 16 are the new ones.
+                let held = warm_start.map_or(4, |w| w.num_responses() + 2);
+                assert_eq!(report.union_store.num_responses(), held, "{label}");
+            }
+            if config.shards > 1 && !config.gossip {
+                // Split brain with gossip off: the union folds each
+                // shard's own payments, and shard 1's versions conflict.
+                let config = FleetConfig { epoch_quantum: 30, ..config };
+                let (report, conflicts) = run_against_reference(
+                    &config,
+                    split_brain(120, 0.05),
+                    None,
+                    srw_jobs(3, 40, 150),
+                );
+                assert!(report.merge_conflicts > 0, "{label}: shard 1 contradicts the others");
+                assert_eq!(report.merge_conflicts, conflicts, "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_wrong_warm_hint_a_response_shadows_is_one_conflict() {
+        // The warm store remembers node 5 with degree 3, but 5 sits in a
+        // clique of 11. The SRW job starts on 5, so its response shadows
+        // the hint: the union drops it and counts one conflict. The
+        // reference fold counted it once per shard export that met it.
+        let mut client = CachedClient::new(OsnService::with_defaults(&paper_barbell()));
+        client.query(NodeId(0)).unwrap();
+        client.remember_degree(NodeId(5), 3);
+        let warm = HistoryStore::from_client(&client);
+        let barbell = |_| OsnService::with_defaults(&paper_barbell());
+        for config in union_configs() {
+            let label =
+                format!("W={} {:?} gossip={}", config.shards, config.merge_order, config.gossip);
+            let (report, conflicts) =
+                run_against_reference(&config, barbell, Some(&warm), mixed_jobs());
+            assert!(report.union_store.cache.degree_hints.is_empty(), "{label}");
+            assert_eq!(report.merge_conflicts, 1, "{label}");
+            if config.gossip {
+                // After the barriers every shard holds 5's response.
+                assert_eq!(conflicts, config.shards as u64, "{label}");
+            } else {
+                assert!(conflicts >= 1, "{label}");
+            }
+        }
     }
 
     #[test]

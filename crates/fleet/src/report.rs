@@ -88,12 +88,14 @@ pub struct FleetReport {
     /// Responses adopted through gossip, total.
     pub gossip_adopted_responses: u64,
     /// Keep-first merge conflicts, total: epoch gossip plus the final
-    /// union fold. A conflict is counted once, at the barrier where two
+    /// union. A conflict is counted once, at the barrier where two
     /// shards' deltas disagree, and every shard leaves that barrier
     /// holding the version folded first (see
-    /// [`crate::coordinator::MergeOrder`]), so the final fold finds only
-    /// what no barrier exchanged: overlay disagreements, or every
-    /// disagreement when gossip is off. Honest runs report 0.
+    /// [`crate::coordinator::MergeOrder`]), so the final union finds only
+    /// what no barrier exchanged: overlay disagreements, every
+    /// disagreement when gossip is off, and a warm-start degree hint
+    /// that a response contradicts (once, at any `W`). Honest runs
+    /// report 0.
     pub merge_conflicts: u64,
     /// Max per-shard virtual seconds at the end of the run.
     pub makespan_secs: f64,
@@ -101,7 +103,10 @@ pub struct FleetReport {
     pub aggregate_stats: RewireStats,
     /// The fleet-wide union history (cache union of every shard plus the
     /// walkers' overlay deltas) — what `save-history` persists and what
-    /// a journal absorbs.
+    /// a journal absorbs. Finalize builds it in one pass: the export of
+    /// the shard folded first, keep-first plus what each other shard
+    /// paid since its last barrier, with every shard's counters summed.
+    /// It equals the keep-first fold of every shard's full export.
     pub union_store: HistoryStore,
     /// Budget-ledger accounting (`Some` iff the run was budgeted).
     pub ledger: Option<LedgerSummary>,

@@ -232,14 +232,16 @@ impl HistoryStore {
     /// * a degree hint shadowed by a full response (either side) is
     ///   dropped — the response supersedes it, hint mismatches against a
     ///   response's true degree count as conflicts;
-    /// * overlay deltas: union of removed/added edge sets; an edge
-    ///   `removed` on one side and `added` on the other keeps `self`'s
-    ///   disposition and counts as a conflict;
+    /// * overlay deltas: see [`HistoryStore::merge_overlay`];
     /// * cost counters: summed — the merged store documents the combined
     ///   bill both crawls paid;
     /// * `num_users`: must agree when both sides recorded it (`Err`
     ///   otherwise — unions across different networks would poison every
     ///   later warm start).
+    ///
+    /// Lookups binary-search the responses, which leave every merge
+    /// ascending: a merge costs one pass over this store's responses plus
+    /// what `other` brings, and builds no map over this store.
     ///
     /// Returns how much was merged and how many conflicts were resolved
     /// keep-first.
@@ -256,13 +258,12 @@ impl HistoryStore {
         let mut outcome = MergeOutcome::default();
 
         // Responses: keep-first union by node id.
-        let known: std::collections::HashMap<NodeId, &QueryResponse> =
-            self.cache.responses.iter().map(|r| (r.user, r)).collect();
+        self.cache.responses.sort_unstable_by_key(|r| r.user);
         let mut adopted: Vec<QueryResponse> = Vec::new();
         for r in &other.cache.responses {
-            match known.get(&r.user) {
+            match self.response(r.user) {
                 Some(mine) => {
-                    if *mine != r {
+                    if mine != r {
                         outcome.conflicts += 1;
                     }
                 }
@@ -270,30 +271,20 @@ impl HistoryStore {
             }
         }
         outcome.merged_responses = adopted.len();
-        self.cache.responses.extend(adopted);
-        self.cache.responses.sort_unstable_by_key(|r| r.user);
+        if !adopted.is_empty() {
+            self.cache.responses.extend(adopted);
+            self.cache.responses.sort_unstable_by_key(|r| r.user);
+        }
 
-        // Degree hints: keep-first union; responses supersede hints.
-        let degrees: std::collections::HashMap<NodeId, usize> =
-            self.cache.responses.iter().map(|r| (r.user, r.neighbors.len())).collect();
+        // Degree hints: keep-first union; responses supersede hints. A
+        // response adopted from `other` may shadow one of our hints.
+        outcome.conflicts += self.drop_shadowed_hints();
         let mine: std::collections::HashMap<NodeId, usize> =
             self.cache.degree_hints.iter().copied().collect();
-        self.cache.degree_hints.retain(|(v, d)| {
-            // A response adopted from `other` may shadow one of our hints.
-            match degrees.get(v) {
-                Some(&true_degree) => {
-                    if *d != true_degree {
-                        outcome.conflicts += 1;
-                    }
-                    false
-                }
-                None => true,
-            }
-        });
         for &(v, d) in &other.cache.degree_hints {
-            match (degrees.get(&v), mine.get(&v)) {
-                (Some(&true_degree), _) => {
-                    if d != true_degree {
+            match (self.response(v), mine.get(&v)) {
+                (Some(r), _) => {
+                    if d != r.neighbors.len() {
                         outcome.conflicts += 1;
                     }
                 }
@@ -310,13 +301,36 @@ impl HistoryStore {
         }
         self.cache.degree_hints.sort_unstable_by_key(|&(v, _)| v);
 
-        // Overlay deltas: union of edge sets; keep-first on a
-        // removed-vs-added disagreement.
+        let overlay = self.merge_overlay(&other.removed, &other.added);
+        outcome.conflicts += overlay.conflicts;
+        outcome.merged_overlay_edges = overlay.merged_overlay_edges;
+
+        // Counters: the combined bill of both crawls. The per-crawl
+        // ledgers concatenate — each entry still describes one run.
+        self.cache.unique_queries += other.cache.unique_queries;
+        self.cache.total_lookups += other.cache.total_lookups;
+        self.cache.transient_retries += other.cache.transient_retries;
+        self.crawls.extend(other.crawls.iter().copied());
+        Ok(outcome)
+    }
+
+    /// The overlay part of [`HistoryStore::merge`]: unions `removed` and
+    /// `added` into this store's overlay delta. An edge `removed` on one
+    /// side and `added` on the other keeps this store's disposition and
+    /// counts as a conflict. Touches nothing else, so it costs in
+    /// proportion to the overlays, not to the cache. Returns the
+    /// conflicts and the edges adopted.
+    pub fn merge_overlay(
+        &mut self,
+        removed: &[(NodeId, NodeId)],
+        added: &[(NodeId, NodeId)],
+    ) -> MergeOutcome {
+        let mut outcome = MergeOutcome::default();
         let my_removed: std::collections::HashSet<(NodeId, NodeId)> =
             self.removed.iter().copied().collect();
         let my_added: std::collections::HashSet<(NodeId, NodeId)> =
             self.added.iter().copied().collect();
-        for &e in &other.removed {
+        for &e in removed {
             if my_added.contains(&e) {
                 outcome.conflicts += 1;
             } else if !my_removed.contains(&e) {
@@ -324,7 +338,7 @@ impl HistoryStore {
                 self.removed.push(e);
             }
         }
-        for &e in &other.added {
+        for &e in added {
             if my_removed.contains(&e) {
                 outcome.conflicts += 1;
             } else if !my_added.contains(&e) {
@@ -334,14 +348,30 @@ impl HistoryStore {
         }
         self.removed.sort_unstable();
         self.added.sort_unstable();
+        outcome
+    }
 
-        // Counters: the combined bill of both crawls. The per-crawl
-        // ledgers concatenate — each entry still describes one run.
-        self.cache.unique_queries += other.cache.unique_queries;
-        self.cache.total_lookups += other.cache.total_lookups;
-        self.cache.transient_retries += other.cache.transient_retries;
-        self.crawls.extend(other.crawls.iter().copied());
-        Ok(outcome)
+    /// Drops every degree hint that a response shadows, as
+    /// [`HistoryStore::merge`] does: the response supersedes it. Returns
+    /// how many dropped hints disagreed with their response's degree —
+    /// conflicts. Responses must be ascending by node id, as every
+    /// constructor, [`HistoryStore::decode`] and `merge` leave them.
+    pub fn drop_shadowed_hints(&mut self) -> u64 {
+        let responses = &self.cache.responses;
+        let mut conflicts = 0;
+        self.cache.degree_hints.retain(|&(v, d)| {
+            let Ok(i) = responses.binary_search_by_key(&v, |r| r.user) else { return true };
+            conflicts += u64::from(d != responses[i].neighbors.len());
+            false
+        });
+        conflicts
+    }
+
+    /// The response for `v`, if this store holds one (responses
+    /// ascending).
+    fn response(&self, v: NodeId) -> Option<&QueryResponse> {
+        let responses = &self.cache.responses;
+        responses.binary_search_by_key(&v, |r| r.user).ok().map(|i| &responses[i])
     }
 
     /// Serializes to the versioned text format, checksum trailer included.
