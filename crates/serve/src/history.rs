@@ -468,22 +468,19 @@ pub(crate) fn seal(mut body: String) -> String {
 }
 
 /// Splits off and verifies the checksum trailer, returning the body.
+/// The trailer's line number is counted only to report an error.
 pub(crate) fn verify_checksum(text: &str) -> std::result::Result<&str, HistoryCodecError> {
     let pos = text.rfind("\nchecksum ").ok_or(HistoryCodecError::Truncated)?;
     let body = &text[..pos + 1];
     let trailer = text[pos + 1..].trim_end_matches('\n');
-    let lineno = body.lines().count() + 1;
+    let at_trailer =
+        |message: String| HistoryCodecError::BadRecord { line: body.lines().count() + 1, message };
     if trailer.contains('\n') {
-        return Err(HistoryCodecError::BadRecord {
-            line: lineno,
-            message: "data after the checksum trailer".into(),
-        });
+        return Err(at_trailer("data after the checksum trailer".into()));
     }
     let hex = trailer.strip_prefix("checksum ").expect("rfind matched this prefix");
-    let stored = u64::from_str_radix(hex, 16).map_err(|e| HistoryCodecError::BadRecord {
-        line: lineno,
-        message: format!("bad checksum literal {hex:?}: {e}"),
-    })?;
+    let stored = u64::from_str_radix(hex, 16)
+        .map_err(|e| at_trailer(format!("bad checksum literal {hex:?}: {e}")))?;
     let computed = fnv1a64(body.as_bytes());
     if computed != stored {
         return Err(HistoryCodecError::ChecksumMismatch { computed, stored });
@@ -699,44 +696,12 @@ impl HistoryAccumulator {
             "lookups" => self.store.cache.total_lookups = parse_num(rest, "counter", lineno)?,
             "retries" => self.store.cache.transient_retries = parse_num(rest, "counter", lineno)?,
             "node" => {
-                let mut tok = rest.split(' ');
-                let mut next = |what: &str| {
-                    tok.next().ok_or_else(|| bad_record(lineno, format!("missing {what}")))
-                };
-                let user: u32 = parse_num(next("user id")?, "user id", lineno)?;
-                let age: u32 = parse_num(next("age")?, "age", lineno)?;
-                let desc: u32 = parse_num(next("description length")?, "length", lineno)?;
-                let posts: u32 = parse_num(next("post count")?, "count", lineno)?;
-                let is_public = match next("public flag")? {
-                    "0" => false,
-                    "1" => true,
-                    other => return Err(bad_record(lineno, format!("bad public flag {other:?}"))),
-                };
-                let nbr_field = next("neighbor list")?;
-                if tok.next().is_some() {
-                    return Err(bad_record(lineno, "trailing tokens on node record"));
-                }
-                let neighbors = if nbr_field == "-" {
-                    Vec::new()
-                } else {
-                    nbr_field
-                        .split(',')
-                        .map(|t| parse_num::<u32>(t, "neighbor id", lineno).map(NodeId))
-                        .collect::<std::result::Result<Vec<_>, _>>()?
-                };
+                let response = parse_node_record(rest, lineno)?;
+                let user = response.user.0;
                 if !self.seen_nodes.insert(user) {
                     return Err(bad_record(lineno, format!("duplicate node record for {user}")));
                 }
-                self.store.cache.responses.push(QueryResponse {
-                    user: NodeId(user),
-                    neighbors,
-                    profile: UserProfile {
-                        age,
-                        self_description_len: desc,
-                        num_posts: posts,
-                        is_public,
-                    },
-                });
+                self.store.cache.responses.push(response);
             }
             "degree" => {
                 let (v, d) = parse_pair::<usize>(rest, lineno)?;
@@ -764,6 +729,135 @@ impl HistoryAccumulator {
         }
         Ok(true)
     }
+}
+
+/// Parses the payload of a `node` record byte by byte: no `str`
+/// splitting and no `parse::<u32>`. It accepts and rejects what reading
+/// the payload with `split(' ')` and `parse::<u32>` did, with the same
+/// messages: six fields split at single spaces, `u32` fields as
+/// [`parse_u32`] reads them, a `0`/`1` public flag, and a neighbor list
+/// that is `-` or comma-separated ids.
+fn parse_node_record(
+    rest: &str,
+    lineno: usize,
+) -> std::result::Result<QueryResponse, HistoryCodecError> {
+    let mut fields = Fields { text: rest, start: Some(0) };
+    let mut next =
+        |what: &str| fields.next().ok_or_else(|| bad_record(lineno, format!("missing {what}")));
+    let number = |token: &str, what: &str| {
+        parse_u32(token).map_err(|e| bad_record(lineno, format!("bad {what} {token:?}: {e}")))
+    };
+    let user = number(next("user id")?, "user id")?;
+    let age = number(next("age")?, "age")?;
+    let self_description_len = number(next("description length")?, "length")?;
+    let num_posts = number(next("post count")?, "count")?;
+    let is_public = match next("public flag")? {
+        "0" => false,
+        "1" => true,
+        other => return Err(bad_record(lineno, format!("bad public flag {other:?}"))),
+    };
+    let list = fields.rest().ok_or_else(|| bad_record(lineno, "missing neighbor list"))?;
+    let neighbors = if list == "-" { Vec::new() } else { parse_neighbor_ids(list, lineno)? };
+    Ok(QueryResponse {
+        user: NodeId(user),
+        neighbors,
+        profile: UserProfile { age, self_description_len, num_posts, is_public },
+    })
+}
+
+/// The neighbor ids of a `node` record; `list` is the rest of the
+/// payload. The `Vec` is sized by counting commas, then each id is read
+/// in one pass over its digits. Anything but plain digits — a `+`, bad
+/// input, or a space that starts a trailing token — goes through
+/// [`parse_u32`], after the trailing-token check that `split(' ')` made
+/// first.
+fn parse_neighbor_ids(
+    list: &str,
+    lineno: usize,
+) -> std::result::Result<Vec<NodeId>, HistoryCodecError> {
+    let bytes = list.as_bytes();
+    let mut ids = Vec::with_capacity(1 + bytes.iter().filter(|&&b| b == b',').count());
+    let mut start = 0;
+    loop {
+        let mut end = start;
+        let mut value = 0u64;
+        while end < bytes.len() && bytes[end].is_ascii_digit() && value <= u64::from(u32::MAX) {
+            value = value * 10 + u64::from(bytes[end] - b'0');
+            end += 1;
+        }
+        let plain = end > start && value <= u64::from(u32::MAX);
+        if !(plain && bytes.get(end).map_or(true, |&b| b == b',')) {
+            if list.contains(' ') {
+                return Err(bad_record(lineno, "trailing tokens on node record"));
+            }
+            end = bytes[start..].iter().position(|&b| b == b',').map_or(bytes.len(), |n| start + n);
+            let token = &list[start..end];
+            value = u64::from(
+                parse_u32(token)
+                    .map_err(|e| bad_record(lineno, format!("bad neighbor id {token:?}: {e}")))?,
+            );
+        }
+        ids.push(NodeId(value as u32));
+        if end == bytes.len() {
+            return Ok(ids);
+        }
+        start = end + 1;
+    }
+}
+
+/// The fields of a record payload between single spaces, as
+/// `split(' ')` would yield them, found by scanning bytes.
+struct Fields<'a> {
+    text: &'a str,
+    /// Start of the next field; `None` once the last one was taken.
+    start: Option<usize>,
+}
+
+impl<'a> Fields<'a> {
+    /// Everything from the next field to the end, spaces included.
+    fn rest(&mut self) -> Option<&'a str> {
+        self.start.take().map(|start| &self.text[start..])
+    }
+}
+
+impl<'a> Iterator for Fields<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let start = self.start?;
+        match self.text.as_bytes()[start..].iter().position(|&b| b == b' ') {
+            Some(len) => {
+                self.start = Some(start + len + 1);
+                Some(&self.text[start..start + len])
+            }
+            None => self.rest(),
+        }
+    }
+}
+
+/// Reads a `u32` digit by digit with an overflow check. It accepts what
+/// `str::parse::<u32>` accepts — decimal digits after an optional `+` —
+/// and fails with the text of the `ParseIntError` that would give.
+fn parse_u32(token: &str) -> std::result::Result<u32, &'static str> {
+    const INVALID: &str = "invalid digit found in string";
+    let digits = match token.as_bytes() {
+        [] => return Err("cannot parse integer from empty string"),
+        [b'+'] => return Err(INVALID),
+        [b'+', digits @ ..] => digits,
+        digits => digits,
+    };
+    let mut value: u32 = 0;
+    for &b in digits {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            return Err(INVALID);
+        }
+        value = value
+            .checked_mul(10)
+            .and_then(|v| v.checked_add(u32::from(digit)))
+            .ok_or("number too large to fit in target type")?;
+    }
+    Ok(value)
 }
 
 fn parse_pair<B: std::str::FromStr>(
@@ -930,6 +1024,113 @@ mod tests {
             format!("{HISTORY_MAGIC} v{FORMAT_VERSION}\nnode 1 20 0 0 1 -\nnode 1 20 0 0 1 -\n");
         let err = HistoryStore::decode(&seal(body)).unwrap_err();
         assert!(matches!(err, HistoryCodecError::BadRecord { line: 3, .. }), "{err:?}");
+    }
+
+    /// The `node` payload reader [`parse_node_record`] replaced, kept as
+    /// its reference: `split(' ')`, `split(',')` and `parse::<u32>`.
+    fn split_and_parse_node_record(
+        rest: &str,
+        lineno: usize,
+    ) -> std::result::Result<QueryResponse, HistoryCodecError> {
+        let mut tok = rest.split(' ');
+        let mut next =
+            |what: &str| tok.next().ok_or_else(|| bad_record(lineno, format!("missing {what}")));
+        let user: u32 = parse_num(next("user id")?, "user id", lineno)?;
+        let age: u32 = parse_num(next("age")?, "age", lineno)?;
+        let desc: u32 = parse_num(next("description length")?, "length", lineno)?;
+        let posts: u32 = parse_num(next("post count")?, "count", lineno)?;
+        let is_public = match next("public flag")? {
+            "0" => false,
+            "1" => true,
+            other => return Err(bad_record(lineno, format!("bad public flag {other:?}"))),
+        };
+        let nbr_field = next("neighbor list")?;
+        if tok.next().is_some() {
+            return Err(bad_record(lineno, "trailing tokens on node record"));
+        }
+        let neighbors = if nbr_field == "-" {
+            Vec::new()
+        } else {
+            nbr_field
+                .split(',')
+                .map(|t| parse_num::<u32>(t, "neighbor id", lineno).map(NodeId))
+                .collect::<std::result::Result<Vec<_>, _>>()?
+        };
+        Ok(QueryResponse {
+            user: NodeId(user),
+            neighbors,
+            profile: UserProfile { age, self_description_len: desc, num_posts: posts, is_public },
+        })
+    }
+
+    #[test]
+    fn node_records_parse_as_split_and_parse_read_them() {
+        // Every outcome, accepted or rejected with its message, equals
+        // the reference's: edge cases by hand, then random payloads over
+        // the bytes that matter to the grammar.
+        let mut payloads: Vec<String> = [
+            "1 2 3 4 1 5,6",
+            "+1 2 3 4 0 -",
+            "007 2 3 4 1 +5,06",
+            "4294967295 0 0 0 0 4294967295",
+            "",
+            "1",
+            "1 2 3 4 1",
+            "1 2 3 4 1 ",
+            "1 2 3 4 2 5",
+            "1 2 3 4 1 5,,6",
+            "1 2 3 4 1 5,",
+            "1 2 3 4 1 ,5",
+            "1 2 3 4 1 - 5",
+            "1 2 3 4 1 -,5",
+            "1 2 3 4 1 x 5",
+            "1 2 3 4 1 5 6",
+            "1 2 3 4 1 5x,6 7",
+            "4294967296 0 0 0 0 -",
+            "1 2 3 4 1 4294967296",
+            "1 2 3 4 1 99999999999x",
+            "1 2 3 4 1 7,42949672950",
+            "1  2 3 4 1 5",
+            "-1 2 3 4 1 5",
+            "1 2 3 4 1 +",
+            "1 2 3 4 1 5,+",
+            "1 2 3 4 1 ++5",
+            "1 2 3 4 1 5\r6",
+            "1 2 3 4 1 5,\u{e9}",
+        ]
+        .iter()
+        .map(|p| p.to_string())
+        .collect();
+        let alphabet = b"0123456789 ,+-x";
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..5000 {
+            let mut payload = String::from("1 2 3 4 1 ");
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            for _ in 0..(state >> 60) + 1 {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let pick = (state >> 33) as usize;
+                // Mostly digits and commas, so most payloads get far.
+                let byte = if pick % 4 == 0 {
+                    alphabet[pick % alphabet.len()]
+                } else {
+                    b'0' + (pick % 10) as u8
+                };
+                payload.push(byte as char);
+            }
+            // Damage the fixed prefix now and then, too.
+            if state % 5 == 0 {
+                let at = (state >> 40) as usize % 10;
+                payload.replace_range(at..at + 1, if state % 3 == 0 { " " } else { "+" });
+            }
+            payloads.push(payload);
+        }
+        for payload in &payloads {
+            assert_eq!(
+                parse_node_record(payload, 7),
+                split_and_parse_node_record(payload, 7),
+                "{payload:?}"
+            );
+        }
     }
 
     #[test]
