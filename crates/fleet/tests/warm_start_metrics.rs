@@ -1,7 +1,13 @@
-//! `metric cache-hit-rate` of a warm-started fleet through `mto_serve
-//! run`. A lookup answered by the warm-start history is a hit, so the
-//! misses are the responses the run added to the union: a figure that
-//! does not depend on the shard count and equals what one shard pays.
+//! Warm-started fleets through `mto_serve run`.
+//!
+//! * `metric cache-hit-rate`: a lookup answered by the warm-start
+//!   history is a hit, so the misses are the responses the run added to
+//!   the union: a figure that does not depend on the shard count and
+//!   equals what one shard pays.
+//! * The order of a history's records: admission predicts each job's
+//!   bill from binary searches over the decoded responses, so a history
+//!   whose node records were reordered (and resealed) must give the same
+//!   report as the original.
 
 use std::path::Path;
 use std::process::Command;
@@ -68,5 +74,47 @@ fn warm_started_fleets_count_only_new_responses_as_misses() {
     assert!(0 < bill && bill < union, "the history covers part of the union, not all of it");
     assert_eq!(figure(&w1, "metric cache-hit-rate"), mto_obs::percent(lookups - bill, lookups));
     assert_eq!(figure(&w4, "metric cache-hit-rate"), figure(&w1, "metric cache-hit-rate"));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_reordered_history_gives_the_same_budgeted_report() {
+    let dir = std::env::temp_dir().join(format!("mto-warm-reordered-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (history, reordered) = (dir.join("crawl.hist"), dir.join("reordered.hist"));
+    serve(
+        &dir,
+        "cold",
+        &format!(
+            "{NETWORK}save-history {}\n\
+             job id=x algo=mto start=0 steps=800 seed=1\n\
+             job id=y algo=srw start=500 steps=800 seed=2\n",
+            history.display()
+        ),
+    );
+    // The node records in reverse, resealed under a fresh checksum.
+    let text = std::fs::read_to_string(&history).unwrap();
+    let body = &text[..text.rfind("\nchecksum ").unwrap() + 1];
+    let mut lines: Vec<&str> = body.lines().collect();
+    let nodes = lines.iter().position(|l| l.starts_with("node ")).unwrap();
+    let count = lines[nodes..].iter().take_while(|l| l.starts_with("node ")).count();
+    lines[nodes..nodes + count].reverse();
+    let body: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    let checksum = mto_obs::fnv1a64(body.as_bytes());
+    std::fs::write(&reordered, format!("{body}checksum {checksum:016x}")).unwrap();
+
+    // A budget the five jobs overclaim, so admission defers some of them
+    // on their predicted bills.
+    let warm = |name: &str, path: &Path| {
+        let request = format!(
+            "{NETWORK}shards 2\nbudget 300\nwarm-start {}\n{WARM_JOBS}\
+             job id=e algo=srw start=3 steps=600 seed=15\n",
+            path.display()
+        );
+        serve(&dir, name, &request)
+    };
+    let original = warm("warm", &history);
+    assert!(original.contains("verdict=defer"), "no job was deferred:\n{original}");
+    assert_eq!(warm("warm-reordered", &reordered), original);
     std::fs::remove_dir_all(&dir).unwrap();
 }

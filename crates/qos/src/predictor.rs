@@ -130,8 +130,9 @@ impl CostPredictor {
             Some(n) if n > 0 => (store.num_responses() as f64 / n as f64).min(1.0),
             _ => 0.0,
         };
-        // Responses are sorted by node id (export_snapshot, merge, and
-        // journal replay all guarantee it), so both lookups are binary.
+        // Responses are sorted by node id (export_snapshot, merge,
+        // decode and journal replay all guarantee it), so both lookups
+        // are binary.
         let frontier = store
             .cache
             .responses

@@ -406,6 +406,9 @@ impl HistoryStore {
     }
 
     /// Parses the text format produced by [`HistoryStore::encode`].
+    /// Responses and degree hints come back ascending by node id, as
+    /// binary searches over them expect, whatever order the file holds
+    /// them in.
     pub fn decode(text: &str) -> std::result::Result<Self, HistoryCodecError> {
         let body = verify_checksum(text)?;
         let mut lines = body.lines().enumerate();
@@ -421,7 +424,7 @@ impl HistoryStore {
                 });
             }
         }
-        Ok(acc.store)
+        Ok(acc.finish())
     }
 
     /// Writes the encoded store to `path`.
@@ -677,11 +680,47 @@ fn push_edge_record(out: &mut String, keyword: &str, u: NodeId, v: NodeId) {
 #[derive(Default)]
 pub(crate) struct HistoryAccumulator {
     pub(crate) store: HistoryStore,
-    seen_nodes: std::collections::HashSet<u32>,
-    seen_hints: std::collections::HashSet<u32>,
+    seen_nodes: SeenIds,
+    seen_hints: SeenIds,
+}
+
+/// The ids of one record kind seen so far, for the duplicate check.
+/// While ids arrive ascending, as every encoder writes them, the last
+/// one is enough; the first id out of order switches to a set of all.
+#[derive(Default)]
+struct SeenIds {
+    last: Option<u32>,
+    /// Every id seen, once one arrived out of order.
+    unordered: Option<std::collections::HashSet<u32>>,
+}
+
+impl SeenIds {
+    /// Records `id`; `false` if it was seen before. `earlier` lists the
+    /// ids recorded so far; it is read once, at the first id out of
+    /// order.
+    fn insert(&mut self, id: u32, earlier: impl Iterator<Item = u32>) -> bool {
+        if self.unordered.is_none() && self.last.map_or(true, |last| id > last) {
+            self.last = Some(id);
+            return true;
+        }
+        self.unordered.get_or_insert_with(|| earlier.collect()).insert(id)
+    }
 }
 
 impl HistoryAccumulator {
+    /// The decoded store, with responses and degree hints ascending by
+    /// node id: sorted here only when the input held them out of order.
+    pub(crate) fn finish(mut self) -> HistoryStore {
+        let cache = &mut self.store.cache;
+        if self.seen_nodes.unordered.is_some() {
+            cache.responses.sort_unstable_by_key(|r| r.user);
+        }
+        if self.seen_hints.unordered.is_some() {
+            cache.degree_hints.sort_unstable_by_key(|&(v, _)| v);
+        }
+        self.store
+    }
+
     /// Tries to consume one record line; `Ok(false)` means the keyword is
     /// not part of the history vocabulary.
     pub(crate) fn consume(
@@ -698,14 +737,16 @@ impl HistoryAccumulator {
             "node" => {
                 let response = parse_node_record(rest, lineno)?;
                 let user = response.user.0;
-                if !self.seen_nodes.insert(user) {
+                let earlier = self.store.cache.responses.iter().map(|r| r.user.0);
+                if !self.seen_nodes.insert(user, earlier) {
                     return Err(bad_record(lineno, format!("duplicate node record for {user}")));
                 }
                 self.store.cache.responses.push(response);
             }
             "degree" => {
                 let (v, d) = parse_pair::<usize>(rest, lineno)?;
-                if !self.seen_hints.insert(v) {
+                let earlier = self.store.cache.degree_hints.iter().map(|&(v, _)| v.0);
+                if !self.seen_hints.insert(v, earlier) {
                     return Err(bad_record(lineno, format!("duplicate degree hint for {v}")));
                 }
                 self.store.cache.degree_hints.push((NodeId(v), d));
@@ -1024,6 +1065,42 @@ mod tests {
             format!("{HISTORY_MAGIC} v{FORMAT_VERSION}\nnode 1 20 0 0 1 -\nnode 1 20 0 0 1 -\n");
         let err = HistoryStore::decode(&seal(body)).unwrap_err();
         assert!(matches!(err, HistoryCodecError::BadRecord { line: 3, .. }), "{err:?}");
+        // Out of order, a duplicate is still caught at its second line.
+        for (records, line) in [
+            ("node 5 1 0 0 1 -\nnode 1 1 0 0 1 -\nnode 5 1 0 0 1 -\n", 4),
+            ("degree 5 1\ndegree 1 1\ndegree 3 1\ndegree 1 2\n", 5),
+        ] {
+            let body = format!("{HISTORY_MAGIC} v{FORMAT_VERSION}\n{records}");
+            let err = HistoryStore::decode(&seal(body)).unwrap_err();
+            assert!(
+                matches!(err, HistoryCodecError::BadRecord { line: l, .. } if l == line),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_reordered_history_decodes_to_the_original_store() {
+        // Node and degree records in reverse: the decoded store is the
+        // original, responses and hints ascending.
+        let mut store = sample_store();
+        store.cache.degree_hints.push((NodeId(9), 4));
+        store.cache.degree_hints.push((NodeId(14), 2));
+        let text = store.encode();
+        let body = &text[..text.rfind("\nchecksum ").unwrap() + 1];
+        let lines: Vec<&str> = body.lines().collect();
+        let of = |keyword: &str| -> Vec<&str> {
+            lines.iter().copied().filter(|l| l.starts_with(keyword)).rev().collect()
+        };
+        let (nodes, hints) = (of("node "), of("degree "));
+        assert!(nodes.len() > 2 && hints.len() > 2);
+        let rest: Vec<&str> =
+            lines.iter().copied().filter(|l| !nodes.contains(l) && !hints.contains(l)).collect();
+        let (head, tail) = rest.split_at(5);
+        let reordered: String =
+            [head, &hints, &nodes, tail].concat().iter().map(|l| format!("{l}\n")).collect();
+        assert_ne!(reordered, body);
+        assert_eq!(HistoryStore::decode(&seal(reordered)).unwrap(), store);
     }
 
     /// The `node` payload reader [`parse_node_record`] replaced, kept as

@@ -215,7 +215,7 @@ impl HistoryJournal {
             file.sync_all()?;
         }
 
-        let store = std::mem::take(&mut acc.store);
+        let store = acc.finish();
         let file = std::fs::OpenOptions::new().append(true).open(path)?;
         let mut journal = HistoryJournal {
             path: path.to_path_buf(),
@@ -232,9 +232,8 @@ impl HistoryJournal {
         };
         // Canonical in-memory order, matching what absorb() maintains —
         // a reopened journal's store must compare equal to the store the
-        // writing process held (records land on disk in arrival order).
-        journal.store.cache.responses.sort_unstable_by_key(|r| r.user);
-        journal.store.cache.degree_hints.sort_unstable_by_key(|&(v, _)| v);
+        // writing process held (records land on disk in arrival order;
+        // `finish` already sorted the responses and hints).
         journal.store.removed.sort_unstable();
         journal.store.added.sort_unstable();
         Ok((journal, recovery))

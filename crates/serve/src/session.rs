@@ -787,7 +787,7 @@ impl SessionSnapshot {
             current: current.ok_or_else(|| bad_record(0, "missing current record"))?,
             stats: stats.unwrap_or_default(),
             meta,
-            history: acc.store,
+            history: acc.finish(),
         })
     }
 
