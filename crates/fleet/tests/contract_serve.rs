@@ -6,7 +6,10 @@
 //!   `resumed-at=150` and lands job `smoke` on the same `final=` node as
 //!   the uninterrupted run;
 //! * a second `run` warm-started from the saved history pays for no
-//!   query on the barbell (every node is cached).
+//!   query on the barbell (every node is cached);
+//! * fleet-smoke's 4-shard `journal` request reports its fleet lines;
+//!   with 7 bytes torn off the journal's tail, a second run recovers
+//!   (`recovered=1`), pays for nothing and prints the same `job` lines.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -28,6 +31,18 @@ warm-start {history}
 job id=warm algo=mto start=0 steps=400 seed=21
 ";
 
+/// fleet-smoke's request; `{journal}` becomes the `journal` path.
+const JOURNAL: &str = "\
+network gnp n=200 p=0.04 seed=7
+shards 4
+epochs 6
+journal {journal}
+job id=a algo=mto start=0 steps=300 seed=1
+job id=b algo=mto start=40 steps=300 seed=2
+job id=c algo=mto start=80 steps=250 seed=3
+job id=d algo=srw start=120 steps=250 seed=4
+";
+
 /// A temp dir for one test, removed when the test passes.
 struct TempDir(PathBuf);
 
@@ -44,12 +59,14 @@ impl TempDir {
     }
 
     /// Writes `template` as request `name`, with `{history}` pointing at
-    /// this dir's `smoke.hist`.
+    /// this dir's `smoke.hist` and `{journal}` at its `fleet.journal`.
     fn request(&self, name: &str, template: &str) -> PathBuf {
         let path = self.path(name);
-        let history = self.path("smoke.hist");
-        std::fs::write(&path, template.replace("{history}", &history.display().to_string()))
-            .unwrap();
+        let (history, journal) = (self.path("smoke.hist"), self.path("fleet.journal"));
+        let text = template
+            .replace("{history}", &history.display().to_string())
+            .replace("{journal}", &journal.display().to_string());
+        std::fs::write(&path, text).unwrap();
         path
     }
 
@@ -72,11 +89,17 @@ fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
 }
 
+/// `mto_serve run` of request `req`; returns the report written to
+/// `out`.
+fn run(dir: &TempDir, req: &Path, out: &str) -> String {
+    let out = dir.path(out);
+    mto_serve(&[Path::new("run"), req, Path::new("--out"), &out]);
+    read(&out)
+}
+
 /// `mto_serve run` of the smoke request; returns its report.
 fn run_smoke(dir: &TempDir) -> String {
-    let (req, out) = (dir.request("smoke.req", SMOKE), dir.path("smoke.cold.txt"));
-    mto_serve(&[Path::new("run"), &req, Path::new("--out"), &out]);
-    read(&out)
+    run(dir, &dir.request("smoke.req", SMOKE), "smoke.cold.txt")
 }
 
 /// The `final=` field of job `id`'s line in a report.
@@ -128,12 +151,40 @@ fn snapshot_then_resume_lands_on_the_run_final_node() {
 fn warm_start_from_the_saved_history_pays_nothing() {
     let dir = TempDir::new("warm");
     run_smoke(&dir);
-    let (req, out) = (dir.request("warm.req", WARM), dir.path("smoke.warm.txt"));
-    mto_serve(&[Path::new("run"), &req, Path::new("--out"), &out]);
-    let warm = read(&out);
+    let warm = run(&dir, &dir.request("warm.req", WARM), "smoke.warm.txt");
     assert!(
         warm.lines().any(|l| l == "total-unique-queries 0"),
         "the warm run paid for queries:\n{warm}"
     );
+    dir.finish();
+}
+
+/// The `job` lines of a report.
+fn job_lines(report: &str) -> Vec<&str> {
+    report.lines().filter(|l| l.starts_with("job ")).collect()
+}
+
+#[test]
+fn a_torn_journal_recovers_and_keeps_the_job_results() {
+    let dir = TempDir::new("journal");
+    let req = dir.request("fleet.req", JOURNAL);
+    let first = run(&dir, &req, "fleet.txt");
+    for line in ["fleet shards=4", "gossip-saved", "makespan-secs", "recovered=0"] {
+        assert!(first.contains(line), "no {line:?} in:\n{first}");
+    }
+    assert!(first.lines().any(|l| l == "merge-conflicts 0"), "conflicts in:\n{first}");
+
+    // Tear the journal mid-record, as a crash during a write would.
+    let journal = dir.path("fleet.journal");
+    let bytes = std::fs::read(&journal).unwrap();
+    std::fs::write(&journal, &bytes[..bytes.len() - 7]).unwrap();
+    let second = run(&dir, &req, "fleet2.txt");
+    assert!(second.contains("recovered=1"), "no recovery in:\n{second}");
+    assert!(
+        second.lines().any(|l| l == "total-unique-queries 0"),
+        "the recovered run paid for queries:\n{second}"
+    );
+    // Same results either way: the journal only changes the bill.
+    assert_eq!(job_lines(&second), job_lines(&first));
     dir.finish();
 }
