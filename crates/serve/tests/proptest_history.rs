@@ -24,6 +24,9 @@ use mto_serve::history::{fnv1a64, CrawlCounters, HistoryStore};
 /// One generated response: id, profile fields, neighbor ids.
 type RawResponse = (u32, (u32, u32, u32, bool), Vec<u32>);
 
+/// Generated overlay edges: removed, then added.
+type RawEdges = (Vec<(u32, u32)>, Vec<(u32, u32)>);
+
 /// Wide ids and narrow ones, so both long digit runs and collisions
 /// between the generated ids occur.
 fn id() -> impl Strategy<Value = u32> {
@@ -39,7 +42,7 @@ fn response() -> impl Strategy<Value = RawResponse> {
 fn store(
     responses: Vec<RawResponse>,
     hints: Vec<(u32, u32)>,
-    edges: (Vec<(u32, u32)>, Vec<(u32, u32)>),
+    edges: RawEdges,
     counters: (u64, u64, u64),
     users: Option<u32>,
 ) -> HistoryStore {
