@@ -369,30 +369,6 @@ impl<I: SocialNetworkInterface> Shard<I> {
         }
         self.pipeline.drain();
     }
-
-    /// The gossip delta: the responses this shard paid for since it last
-    /// gossiped, ascending. Moves the gossip mark to now.
-    fn take_delta(&mut self) -> HistoryStore {
-        let mut mark = self.gossiped;
-        let delta = self.delta_since(&mut mark);
-        self.gossiped = mark;
-        delta
-    }
-
-    /// The responses this shard paid for past `mark` in its paid log,
-    /// ascending, as a store; moves `mark` to the end of the log.
-    fn delta_since(&self, mark: &mut usize) -> HistoryStore {
-        self.client.with(|c| {
-            let fresh = paid_since(c, mark);
-            let responses =
-                fresh.into_iter().map(|v| c.cached(v).expect("a paid node is cached")).collect();
-            HistoryStore {
-                cache: CacheSnapshot { responses, ..Default::default() },
-                num_users: c.num_users_hint(),
-                ..Default::default()
-            }
-        })
-    }
 }
 
 /// The nodes `client` paid for past `mark` in its paid log, ascending;
@@ -405,6 +381,24 @@ fn paid_since<I: SocialNetworkInterface>(
     *mark = client.paid_log().len();
     fresh.sort_unstable();
     fresh
+}
+
+/// The responses `client` paid for past `mark`, ascending, as a store;
+/// moves `mark` to the end of the log. Past a shard's gossip mark, this
+/// is its gossip delta.
+fn paid_delta<I: SocialNetworkInterface>(
+    client: &CachedClient<I>,
+    mark: &mut usize,
+) -> HistoryStore {
+    let responses = paid_since(client, mark)
+        .into_iter()
+        .map(|v| client.cached(v).expect("a paid node is cached"))
+        .collect();
+    HistoryStore {
+        cache: CacheSnapshot { responses, ..Default::default() },
+        num_users: client.num_users_hint(),
+        ..Default::default()
+    }
 }
 
 /// Runs a job list as a sharded fleet (see the module docs).
@@ -923,7 +917,11 @@ impl<'a, I: SocialNetworkInterface + Send + Sync> FleetRun<'a, I> {
             return Ok(());
         }
         let timer = self.wall.is_some().then(WallClockScope::start);
-        let deltas: Vec<HistoryStore> = self.shards.iter_mut().map(Shard::take_delta).collect();
+        let deltas: Vec<HistoryStore> = self
+            .shards
+            .iter_mut()
+            .map(|s| s.client.with(|c| paid_delta(c, &mut s.gossiped)))
+            .collect();
         let (merged, conflicts) = self.fold_union(&deltas)?;
         for (shard, delta) in self.shards.iter().zip(&deltas) {
             report.adopted_responses += (merged.num_responses() - delta.num_responses()) as u64;
@@ -1119,7 +1117,7 @@ impl<'a, I: SocialNetworkInterface + Send + Sync> FleetRun<'a, I> {
         let mut conflicts = 0u64;
         for shard in rest {
             // A copy of the gossip mark: building the union moves nothing.
-            let delta = shard.delta_since(&mut shard.gossiped.clone());
+            let delta = shard.client.with(|c| paid_delta(c, &mut shard.gossiped.clone()));
             conflicts += union.merge(&delta).map_err(ServeError::SnapshotMismatch)?.conflicts;
             shard.client.with(|c| {
                 union.cache.unique_queries += c.unique_queries();
