@@ -21,15 +21,15 @@
 //!   schedules quanta earliest-deadline-first). A `metrics` directive
 //!   appends the mto-obs summary (shard-invariant `metric` lines plus
 //!   `timing` lines), and `trace FILE` writes the deterministic
-//!   `mto-trace/v2` span/point record — feed it to `trace2flame` for a
-//!   collapsed-stack profile over virtual time. A `prom FILE` directive
+//!   `mto-trace/v2` span/point record — feed it to `mto-trace flame` for
+//!   a collapsed-stack profile over virtual time. A `prom FILE` directive
 //!   enables the wall-clock telemetry plane (per-phase wall time across
 //!   shard service, barrier waits, gossip merges, pipeline replay, the
 //!   scheduler's stepping loop, and history encode/decode) and writes a
 //!   Prometheus text-exposition snapshot of the metrics and wall
 //!   registries — the run's only output that varies run to run; report
 //!   bodies, traces, and `metric` lines are byte-identical with or
-//!   without it (join the two planes with `trace2gap`). Build with
+//!   without it (join the two planes with `mto-trace gap`). Build with
 //!   `--features wall-alloc` to add per-phase allocation counts/bytes
 //!   to the snapshot.
 //! * `snapshot` runs the request's **first** job for `--at` steps as a

@@ -677,7 +677,7 @@ impl<'a, I: SocialNetworkInterface + Send + Sync> FleetRun<'a, I> {
     /// **Step.** Every shard advances its slots by their grants on its
     /// own [`std::thread::scope`] worker. Then, serially: the wall plane
     /// keys each shard's self-timed service, one trace span per job that
-    /// ran (weighted by the steps it took — the virtual work `trace2flame`
+    /// ran (weighted by the steps it took — the virtual work `mto-trace flame`
     /// folds into `epoch-N;job-id` rows), and the per-shard pipeline
     /// registries fold into the fleet registry (merge is associative and
     /// commutative, so the fold order cannot matter).
@@ -755,7 +755,7 @@ impl<'a, I: SocialNetworkInterface + Send + Sync> FleetRun<'a, I> {
     /// degree of each node its walk visited this epoch), stamps the
     /// epoch's figures into the trace in id order — per-job ESS, the
     /// Geweke z once the window splits, then the fleet R-hat, exactly
-    /// what `trace2mix` folds into trajectories — and latches `ess=N`
+    /// what `mto-trace mix` folds into trajectories — and latches `ess=N`
     /// SLOs in account order: a converged job pauses so the planner
     /// stops granting it, and settle releases its unspent slice at this
     /// same barrier.
@@ -998,7 +998,7 @@ impl<'a, I: SocialNetworkInterface + Send + Sync> FleetRun<'a, I> {
     }
 
     /// **Finalize.** Closes the trace with its epoch-count self-check
-    /// (`trace2critpath` cross-checks it), drains the last quality
+    /// (`mto-trace critpath` cross-checks it), drains the last quality
     /// samples (covering runs that never crossed a barrier, e.g.
     /// zero-step jobs whose only sample is the seed), and assembles the
     /// report.

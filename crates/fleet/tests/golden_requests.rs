@@ -10,7 +10,7 @@
 //!   from run to run).
 //!
 //! One test per request and `W`, so a failure names both. A failing run
-//! keeps its outputs and prints their paths; `trace2diff
+//! keeps its outputs and prints their paths; `mto-trace diff
 //! crates/fleet/tests/fixtures/<request>.trace <new trace>` then names the
 //! first divergent event.
 
@@ -111,7 +111,7 @@ fn check(name: &str, request: &str, shards: usize) {
     let mut failures = Vec::new();
     if std::fs::read(&trace).unwrap() != read_fixture(&format!("{name}.trace")) {
         failures.push(format!(
-            "trace differs: trace2diff {} {}",
+            "trace differs: mto-trace diff {} {}",
             fixture(&format!("{name}.trace")).display(),
             trace.display()
         ));

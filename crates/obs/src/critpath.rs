@@ -1,4 +1,4 @@
-//! `trace2critpath`: extract the longest virtual-time dependency chain
+//! `mto-trace critpath`: extract the longest virtual-time dependency chain
 //! from a fleet trace.
 //!
 //! The paper's cost model (and "Walk, Not Wait", arXiv:1410.7833) says a
@@ -473,7 +473,7 @@ pub fn flat_fallback(records: &[TraceRecord]) -> Option<(String, u64)> {
 }
 
 /// Renders the path as the deterministic line-oriented report
-/// `trace2critpath` prints.
+/// `mto-trace critpath` prints.
 pub fn render(path: &CriticalPath) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();

@@ -1,7 +1,7 @@
-//! `trace2diff`: locate the first divergent event of two traces, with
+//! `mto-trace diff`: locate the first divergent event of two traces, with
 //! causal context.
 //!
-//! The determinism witnesses (fleet tests, CI `obs-smoke`) compare
+//! The determinism witnesses (the fleet's golden and contract tests) compare
 //! whole encoded traces; when they fail, a byte offset explains
 //! nothing. This module compares two decoded record streams and reports
 //! the first index where they differ, together with the **causal
@@ -112,7 +112,7 @@ fn side(record: &Option<TraceRecord>) -> String {
     }
 }
 
-/// Renders the divergence as the multi-line report `trace2diff` prints.
+/// Renders the divergence as the multi-line report `mto-trace diff` prints.
 pub fn render(d: &Divergence) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();

@@ -1,4 +1,4 @@
-//! `trace2flame`: fold span events into collapsed flamegraph stacks.
+//! `mto-trace flame`: fold span events into collapsed flamegraph stacks.
 //!
 //! The collapsed-stack format is one line per distinct span path —
 //! `outer;inner;leaf <weight>` — the input `flamegraph.pl` and every

@@ -1,4 +1,4 @@
-//! `trace2gap`: join the two clocks — virtual trace vs wall plane.
+//! `mto-trace gap`: join the two clocks — virtual trace vs wall plane.
 //!
 //! The v2 causal trace says where *virtual* time went (epochs, jobs,
 //! barriers); the Prometheus wall dump says where *hardware* time went

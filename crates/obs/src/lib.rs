@@ -27,9 +27,8 @@
 //! [`timeline`] (fixed-width ASCII epoch lanes), [`diff`] (first
 //! divergent event with causal context, for the determinism witnesses),
 //! and [`baseline`] (the committed `OBS_BASELINE.json` gate pinning
-//! shard-invariant `metric` figures). Each ships as a binary —
-//! `trace2flame`, `trace2critpath`, `trace2timeline`, `trace2diff`,
-//! `obs_baseline` — on the shared [`cli`] shell.
+//! shard-invariant `metric` figures). Each is a subcommand of the one
+//! binary, `mto-trace`, dispatched by [`cli`].
 //!
 //! The third deterministic surface is the **estimator-quality plane**
 //! ([`quality`]): streaming convergence diagnostics (batch-means ESS,
@@ -37,7 +36,7 @@
 //! accumulated in exact integer moments so per-shard states fold at
 //! fleet epoch barriers exactly like history gossip. Its figures ride
 //! ordinary v2 point events and `metric quality-*` lines, and [`mix`]
-//! (binary: `trace2mix`) renders per-job convergence trajectories and
+//! (`mto-trace mix`) renders per-job convergence trajectories and
 //! burn-in attribution from a traced run.
 //!
 //! Beside the deterministic plane sits the **wall-clock plane**
@@ -46,8 +45,8 @@
 //! feature) allocation accounting — kept in a separate
 //! [`WallClockRegistry`] that is excluded from digests, traces, and
 //! `metric` lines by construction. Both planes export through the
-//! Prometheus text exposition ([`prom`]), and [`gap`] (binary:
-//! `trace2gap`) joins a v2 trace with a wall dump into a per-epoch
+//! Prometheus text exposition ([`prom`]), and [`gap`] (`mto-trace
+//! gap`) joins a v2 trace with a wall dump into a per-epoch
 //! virtual-vs-wall attribution table.
 //!
 //! This crate sits below `mto-osn` in the workspace DAG and depends on

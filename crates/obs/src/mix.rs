@@ -1,19 +1,19 @@
-//! `trace2mix`: per-job convergence trajectories from a traced run.
+//! `mto-trace mix`: per-job convergence trajectories from a traced run.
 //!
 //! The quality plane stamps one set of point events per epoch barrier —
 //! `quality-ess-<job>` / `quality-z-<job>` (scaled milli-units, see
 //! [`crate::quality::scale_milli`]), the fleet-wide `quality-rhat`, and
 //! `quality-met-<job>` when a job's `quality ess=N` SLO latches. This
 //! module folds those points into a [`MixModel`] and renders the
-//! deterministic line report of the `trace2mix` binary: ESS per epoch,
+//! deterministic line report of `mto-trace mix`: ESS per epoch,
 //! the Geweke crossing (burn-in attribution at the paper's z ≤ 0.1
 //! threshold), R-hat decay, and SLO latch epochs.
 //!
 //! [`cross_check`] joins the model against a run report's
 //! `metric quality-*` lines: the final traced ESS of every job must
 //! equal the metric figure exactly (both are scaled integers derived
-//! from the same accumulator), which is how CI catches the two
-//! surfaces drifting apart.
+//! from the same accumulator), which is how the fleet's `contract_obs`
+//! test catches the two surfaces drifting apart.
 
 use std::collections::BTreeMap;
 
@@ -60,7 +60,7 @@ impl JobTrajectory {
     }
 }
 
-/// Everything `trace2mix` extracts from a traced run.
+/// Everything `mto-trace mix` extracts from a traced run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MixModel {
     /// Per-job trajectories, keyed by job id.

@@ -4,7 +4,7 @@
 //! [`MetricsRegistry`] figures *and* the wall-plane
 //! [`WallClockRegistry`] figures, in the standard
 //! `# HELP` / `# TYPE` / `family{labels} value` text format, so any
-//! Prometheus-compatible scraper (or the `trace2gap` joiner) can read
+//! Prometheus-compatible scraper (or the `mto-trace gap` joiner) can read
 //! the simulator's two clocks side by side. The renderer walks
 //! `BTreeMap`s only, so the emitted bytes are a pure function of the
 //! recorded state — independent of metric registration order — and the
@@ -34,7 +34,7 @@
 //!
 //! The module also ships a minimal parser for exactly the subset the
 //! renderer emits (integer values, quoted escaped labels), shared by
-//! the round-trip tests and `trace2gap`.
+//! the round-trip tests and `mto-trace gap`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

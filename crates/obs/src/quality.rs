@@ -35,7 +35,7 @@
 //! appear only in *derived* figures (ESS, z, R-hat), never in merged
 //! state, and are rendered through one scaled-integer encoding
 //! ([`scale_milli`]) shared by `metric` lines, trace points, and
-//! `trace2mix`.
+//! `mto-trace mix`.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;

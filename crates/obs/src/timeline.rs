@@ -1,4 +1,4 @@
-//! `trace2timeline`: fixed-width ASCII epoch lanes, one row per job.
+//! `mto-trace timeline`: fixed-width ASCII epoch lanes, one row per job.
 //!
 //! A cheap visual complement to [`crate::critpath`]: the same
 //! [`FleetModel`] rendered as one character per `(job, epoch)` cell, so
