@@ -317,4 +317,39 @@ mod tests {
             assert!(err.message.starts_with("usage: mto-trace flame <trace>\n"), "{args:?}");
         }
     }
+
+    #[test]
+    fn critpath_returns_when_two_stalled_jobs_release_each_other() {
+        // a and b are suspended before epoch 0 and both finish at its
+        // barrier, so each is the other's releaser.
+        let mut sink = crate::trace::TraceSink::new();
+        sink.point(0, "suspend-a", 0);
+        sink.point(0, "suspend-b", 0);
+        sink.enter(0, "epoch-0");
+        sink.point(0, "finish-a", 0);
+        sink.point(0, "finish-b", 0);
+        sink.exit(0, 0);
+        sink.enter(1_000_000, "epoch-1");
+        sink.exit(1_000_000, 0);
+        let dir = std::env::temp_dir().join(format!("mto-obs-cli-cycle-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("release-cycle.trace");
+        std::fs::write(&path, crate::codec::encode_trace(&sink)).unwrap();
+        let (out, result) = run_args(&["critpath", path.to_str().unwrap()]);
+        assert_eq!(result, Ok(()));
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "# critical path (virtual time: 1 epoch = 1 second)\n\
+             makespan-epochs 1\n\
+             terminal-job b\n\
+             path job=b epochs=0..0 phase=budget-stall\n\
+             attribution service-epochs=0 queue-wait-epochs=0 budget-stall-epochs=1 \
+             service-steps=0\n\
+             gossip-adopted-into-path 0\n"
+        );
+        let (lanes, result) = run_args(&["timeline", path.to_str().unwrap()]);
+        assert_eq!(result, Ok(()));
+        assert!(String::from_utf8(lanes).unwrap().contains("    a |s.|\n    b |s.|\n"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

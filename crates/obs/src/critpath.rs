@@ -17,6 +17,8 @@
 //!   finish at the same barrier, the chain *jumps* to that releaser: the
 //!   stall was really time spent waiting for the releaser's service, and
 //!   the releaser's own history (not the idle wait) bounds the makespan.
+//!   Jobs that were stalled and finished at one barrier can be each
+//!   other's releasers; the walk leaves such a cycle as a budget stall.
 //!
 //! Everything here reads the shard-invariant trace plane only, so the
 //! extracted path — like the trace itself — is byte-identical across
@@ -27,7 +29,7 @@
 //! trace's own `fleet-epochs` point is cross-checked against the
 //! reconstruction as an integrity gate.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::trace::TraceRecord;
 
@@ -372,6 +374,11 @@ pub fn critical_path(model: &FleetModel) -> Option<CriticalPath> {
         .map(|(i, _)| i)?;
 
     let mut per_epoch: Vec<(usize, Phase, u64)> = Vec::with_capacity(model.epochs);
+    // (job, epoch) pairs the walk has jumped away from. The next step
+    // depends only on that pair, so a pair seen twice is a cycle of
+    // releasers (jobs suspended and finished at the same barrier) that
+    // would never end: it is attributed as a stall instead.
+    let mut jumped_from: BTreeSet<(usize, usize)> = BTreeSet::new();
     let mut cur = terminal;
     let mut e = model.end_epoch(&model.jobs[terminal]) as isize;
     while e >= 0 {
@@ -409,8 +416,9 @@ pub fn critical_path(model: &FleetModel) -> Option<CriticalPath> {
                     None
                 };
                 match releaser {
-                    Some(r) => cur = r, // re-evaluate epoch `eu` as the releaser
-                    None => {
+                    // Re-evaluate epoch `eu` as the releaser.
+                    Some(r) if jumped_from.insert((cur, eu)) => cur = r,
+                    _ => {
                         per_epoch.push((cur, Phase::BudgetStall, 0));
                         e -= 1;
                     }

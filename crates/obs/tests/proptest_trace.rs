@@ -7,11 +7,19 @@
 //!   the trailer or body is rejected, never mis-decoded;
 //! * **corruption**: flipping any single byte of the body is detected
 //!   (checksum mismatch, or a record/header error when the flip lands
-//!   in structure).
+//!   in structure);
+//! * **analyses**: on fleet-shaped traces (epoch and job spans, budget
+//!   and quality points, gossip edges) every analysis `mto-trace` runs
+//!   returns, and the critical path covers its epochs once each.
+
+use std::collections::BTreeMap;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use mto_obs::critpath::{critical_path, flat_fallback, FleetModel};
+use mto_obs::mix::{cross_check, MixModel};
+use mto_obs::prom::PromSample;
 use mto_obs::{decode_trace, encode_trace, TraceCodecError, TraceSink};
 
 const NAMES: [&str; 4] = ["epoch-0", "job-a", "ledger-pool", "walk step"];
@@ -39,6 +47,53 @@ fn build(ops: &[(u8, u8, u64)]) -> TraceSink {
                 value,
             ),
         }
+    }
+    sink
+}
+
+const FLEET_JOBS: [&str; 3] = ["a", "b", "c"];
+
+/// One fleet event: `(kind, job selector, value)`.
+fn fleet_op() -> impl Strategy<Value = (u8, u8, u64)> {
+    (0u8..7, 0u8..3, 0u64..1000)
+}
+
+fn fleet_event(sink: &mut TraceSink, t_us: u64, (kind, job, value): (u8, u8, u64)) {
+    let id = FLEET_JOBS[job as usize % FLEET_JOBS.len()];
+    let other = FLEET_JOBS[(job as usize + 1) % FLEET_JOBS.len()];
+    match kind {
+        0 => {
+            sink.enter(t_us, &format!("job-{id}"));
+            sink.exit(t_us, value);
+        }
+        1 => sink.point(t_us, &format!("suspend-{id}"), value),
+        2 => sink.point(t_us, &format!("resume-{id}"), value),
+        3 => sink.point(t_us, &format!("finish-{id}"), value),
+        4 => sink.point(t_us, &format!("cut-{id}"), value),
+        5 => match value % 4 {
+            0 => sink.point(t_us, &format!("quality-ess-{id}"), value),
+            1 => sink.point(t_us, &format!("quality-z-{id}"), value),
+            2 => sink.point(t_us, &format!("quality-met-{id}"), value),
+            _ => sink.point(t_us, "quality-rhat", value),
+        },
+        _ => sink.gossip(t_us, &format!("job-{other}"), &format!("job-{id}"), value),
+    }
+}
+
+/// Barrier events before the first epoch, then one `epoch-N` span per
+/// event list, stamped at `N` virtual seconds like the fleet's.
+fn fleet_trace(before: &[(u8, u8, u64)], epochs: &[Vec<(u8, u8, u64)>]) -> TraceSink {
+    let mut sink = TraceSink::new();
+    for &op in before {
+        fleet_event(&mut sink, 0, op);
+    }
+    for (epoch, ops) in epochs.iter().enumerate() {
+        let t_us = epoch as u64 * 1_000_000;
+        sink.enter(t_us, &format!("epoch-{epoch}"));
+        for &op in ops {
+            fleet_event(&mut sink, t_us, op);
+        }
+        sink.exit(t_us, 0);
     }
     sink
 }
@@ -118,5 +173,78 @@ proptest! {
         }
         let decoded = decode_trace(&encode_trace(&sink)).expect("underflow never poisons");
         prop_assert_eq!(decoded.as_slice(), sink.events());
+    }
+}
+
+proptest! {
+    // Jobs that are suspended and finish at one barrier, the case that
+    // once cycled the critical-path walk, are rare among random traces.
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn every_analysis_returns_on_fleet_traces(
+        before in vec(fleet_op(), 0..8),
+        epochs in vec(vec(fleet_op(), 0..12), 0..6),
+    ) {
+        let records = decode_trace(&encode_trace(&fleet_trace(&before, &epochs)))
+            .expect("sink output must decode");
+        mto_obs::flame::fold(&records);
+
+        let model = FleetModel::from_records(&records).expect("epochs are sequential");
+        prop_assert_eq!(model.epochs, epochs.len());
+        match critical_path(&model) {
+            Some(path) => {
+                prop_assert!(path.epochs <= model.epochs);
+                let mut next = 0;
+                for segment in &path.segments {
+                    prop_assert_eq!(segment.start, next, "segments tile the path in order");
+                    prop_assert!(segment.end >= segment.start);
+                    next = segment.end + 1;
+                }
+                prop_assert_eq!(next, path.epochs);
+                mto_obs::critpath::render(&path);
+            }
+            None => {
+                prop_assert!(model.epochs == 0 || model.jobs.is_empty());
+                flat_fallback(&records);
+            }
+        }
+        let lanes = mto_obs::timeline::render(&model);
+        prop_assert_eq!(lanes.is_some(), model.epochs > 0 && !model.jobs.is_empty());
+
+        prop_assert!(mto_obs::diff::first_divergence(&records, &records).is_none());
+        if let Some((_, head)) = records.split_last() {
+            let d = mto_obs::diff::first_divergence(&records, head).expect("a dropped event");
+            prop_assert_eq!(d.index, head.len());
+            mto_obs::diff::render(&d);
+        }
+
+        let samples: Vec<PromSample> = (0..=model.epochs)
+            .map(|epoch| PromSample {
+                name: "mto_wall_nanos_total".to_string(),
+                labels: BTreeMap::from([
+                    ("phase".to_string(), "shard-service".to_string()),
+                    ("epoch".to_string(), epoch.to_string()),
+                ]),
+                value: 10 + epoch as u64,
+            })
+            .collect();
+        let gap = mto_obs::gap::render(&model, &samples);
+        let total: u64 = samples.iter().map(|s| s.value).sum();
+        prop_assert!(gap.contains(&format!("\nepochs {}\n", model.epochs)), "{}", gap);
+        prop_assert!(gap.ends_with(&format!("total wall-ns {total}\n")), "{}", gap);
+
+        if let Ok(mix) = MixModel::from_records(&records) {
+            mix.render();
+            let report: String = mix
+                .jobs
+                .iter()
+                .filter_map(|(id, t)| t.final_ess_mil().map(|ess| (id, ess)))
+                .map(|(id, ess)| format!("metric quality-{id}-ess-mil {ess}\n"))
+                .collect();
+            let every_job_traced = mix.jobs.values().all(|t| t.final_ess_mil().is_some());
+            let checked = cross_check(&mix, &report);
+            prop_assert_eq!(checked.is_ok(), every_job_traced && !report.is_empty());
+        }
     }
 }
