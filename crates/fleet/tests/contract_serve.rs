@@ -9,7 +9,11 @@
 //!   query on the barbell (every node is cached);
 //! * fleet-smoke's 4-shard `journal` request reports its fleet lines;
 //!   with 7 bytes torn off the journal's tail, a second run recovers
-//!   (`recovered=1`), pays for nothing and prints the same `job` lines.
+//!   (`recovered=1`), pays for nothing and prints the same `job` lines;
+//! * the budgeted EDF fleet with two deadline jobs reports its ledger and
+//!   a met deadline at 4 shards, spends the same budget on the same
+//!   results at 1, 2, 4 and 8 shards, and `snapshot` refuses it, naming
+//!   `shards`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -39,6 +43,19 @@ epochs 6
 journal {journal}
 job id=a algo=mto start=0 steps=300 seed=1
 job id=b algo=mto start=40 steps=300 seed=2
+job id=c algo=mto start=80 steps=250 seed=3
+job id=d algo=srw start=120 steps=250 seed=4
+";
+
+/// The budgeted deadline fleet; `{shards}` becomes the shard count.
+const QOS: &str = "\
+network gnp n=200 p=0.04 seed=7
+shards {shards}
+epochs 6
+budget 600
+policy edf
+job id=a algo=mto start=0 steps=300 seed=1 deadline=6.0
+job id=b algo=mto start=40 steps=300 seed=2 deadline=9.0
 job id=c algo=mto start=80 steps=250 seed=3
 job id=d algo=srw start=120 steps=250 seed=4
 ";
@@ -186,5 +203,52 @@ fn a_torn_journal_recovers_and_keeps_the_job_results() {
     );
     // Same results either way: the journal only changes the bill.
     assert_eq!(job_lines(&second), job_lines(&first));
+    dir.finish();
+}
+
+/// The `job` lines without their timing fields (finish instants vary
+/// with the shard count by design) and the `ledger` lines, as is.
+fn results_and_spend(report: &str) -> Vec<String> {
+    let timing = |f: &&str| f.starts_with("finished-at=") || f.starts_with("deadline-met=");
+    let mut lines = Vec::new();
+    for line in report.lines() {
+        if line.starts_with("job ") {
+            lines.push(line.split(' ').filter(|f| !timing(f)).collect::<Vec<_>>().join(" "));
+        } else if line.starts_with("ledger") {
+            lines.push(line.to_string());
+        }
+    }
+    lines
+}
+
+#[test]
+fn the_budgeted_deadline_fleet_spends_alike_at_every_shard_count() {
+    let dir = TempDir::new("qos");
+    let request =
+        |w: usize| dir.request(&format!("qos-w{w}.req"), &QOS.replace("{shards}", &w.to_string()));
+    let w4 = run(&dir, &request(4), "qos-w4.txt");
+    assert!(w4.contains("fleet shards=4"), "{w4}");
+    assert!(w4.lines().any(|l| l.starts_with("ledger total=600")), "{w4}");
+    assert!(w4.lines().any(|l| l.starts_with("ledger-rebalance reclaimed=")), "{w4}");
+    assert!(w4.contains("deadline-met=1"), "{w4}");
+    let expected = results_and_spend(&w4);
+    assert_eq!(expected.iter().filter(|l| l.starts_with("job ")).count(), 4, "{w4}");
+    for w in [1, 2, 8] {
+        let report = run(&dir, &request(w), &format!("qos-w{w}.txt"));
+        assert_eq!(results_and_spend(&report), expected, "W={w} against W=4");
+    }
+
+    // `snapshot` operates on a single session, so it refuses the fleet
+    // directive and names it.
+    let snapshot = Command::new(env!("CARGO_BIN_EXE_mto_serve"))
+        .arg("snapshot")
+        .arg(request(4))
+        .args(["--at", "50", "--to"])
+        .arg(dir.path("qos.session"))
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&snapshot.stderr);
+    assert_eq!(snapshot.status.code(), Some(1), "snapshot accepted a fleet request: {stderr}");
+    assert!(stderr.contains("shards"), "{stderr}");
     dir.finish();
 }
