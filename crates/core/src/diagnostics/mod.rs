@@ -1,10 +1,9 @@
-//! Convergence and bias diagnostics: the Geweke indicator (Eq. 14), the
-//! symmetric KL bias measure, and auxiliary distances.
+//! Bias diagnostics: the symmetric KL bias measure and auxiliary
+//! distances. The Geweke convergence indicator (Eq. 14) is
+//! `mto_obs::quality::GewekeStream`.
 
 pub mod distance;
-pub mod geweke;
 pub mod kl;
 
 pub use distance::{ks_distance, running_mean_error, total_variation};
-pub use geweke::{geweke_converged, geweke_z, GewekeConfig, GewekeMonitor};
 pub use kl::{kl_divergence, symmetric_kl, VisitCounter, DEFAULT_SMOOTHING};

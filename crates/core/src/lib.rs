@@ -15,8 +15,9 @@
 //! * [`estimate`] — self-normalized importance sampling over the paper's
 //!   aggregates (average degree, profile attributes, COUNT with known
 //!   `|V|`);
-//! * [`diagnostics`] — the Geweke convergence indicator, symmetric-KL bias
-//!   measure, and auxiliary distances.
+//! * [`diagnostics`] — the symmetric-KL bias measure and auxiliary
+//!   distances. The Geweke convergence indicator (Eq. 14) is
+//!   `mto_obs::quality::GewekeStream`.
 //!
 //! ## Example: rewiring the paper's barbell
 //!

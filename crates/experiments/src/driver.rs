@@ -8,7 +8,6 @@
 
 use std::sync::Arc;
 
-use mto_core::diagnostics::geweke::GewekeMonitor;
 use mto_core::estimate::Aggregate;
 use mto_core::mto::{MtoConfig, MtoSampler};
 use mto_core::walk::{
@@ -16,6 +15,7 @@ use mto_core::walk::{
     StepSample, Walker,
 };
 use mto_graph::NodeId;
+use mto_obs::quality::GewekeStream;
 use mto_osn::{CachedClient, OsnService, Result};
 
 /// The four algorithms compared in Fig 7.
@@ -184,16 +184,18 @@ pub fn run_converged(
     aggregate: Aggregate,
     protocol: RunProtocol,
 ) -> Result<ConvergedRun> {
-    let mut monitor = GewekeMonitor::new(protocol.geweke_threshold)
-        .with_min_samples(200)
-        .with_check_interval(100);
-
+    // Geweke's test on the degree series, at every 100th sample from
+    // the 200th on.
+    let mut degrees = GewekeStream::new();
     let mut converged_at = None;
-    for step in 0..protocol.max_burn_in_steps {
+    for step in 1..=protocol.max_burn_in_steps {
         let v = walker.step()?;
-        let degree = service.query_degree_free(v);
-        if monitor.push(degree as f64) {
-            converged_at = Some(step + 1);
+        degrees.push(service.query_degree_free(v) as f64);
+        if step >= 200
+            && step % 100 == 0
+            && degrees.z().is_some_and(|z| z <= protocol.geweke_threshold)
+        {
+            converged_at = Some(step);
             break;
         }
     }
@@ -294,6 +296,24 @@ mod tests {
         for pair in run.samples.windows(2) {
             assert!(pair[0].1 <= pair[1].1);
         }
+    }
+
+    #[test]
+    fn convergence_is_tested_at_every_100th_sample_from_the_200th() {
+        let service = mini_service();
+        let converged_at = |threshold: f64| {
+            let mut w = Algorithm::Srw.build(service.clone(), NodeId(0), 1).unwrap();
+            let protocol = RunProtocol {
+                geweke_threshold: threshold,
+                max_burn_in_steps: 5_000,
+                sample_steps: 0,
+            };
+            let run = run_converged(w.as_mut(), &service, Aggregate::AverageDegree, protocol);
+            run.unwrap().converged_at
+        };
+        assert_eq!(converged_at(f64::INFINITY), Some(200), "no test before the 200th sample");
+        let at = converged_at(0.3).expect("the walk converges");
+        assert!(at >= 200 && at % 100 == 0, "converged at {at}");
     }
 
     #[test]

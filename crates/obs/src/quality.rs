@@ -16,10 +16,10 @@
 //!   (an exact operation) when the bounded batch table fills, so the
 //!   streaming state after `n` pushes is bit-identical to chunking the
 //!   full series at the final batch size.
-//! * [`GewekeStream`] — the bounded replacement for the full-series
-//!   Geweke monitor: first-window prefix plus last-window ring, with the
-//!   z statistic computed by the exact summation order of
-//!   `mto_core::diagnostics::geweke` on the retained window.
+//! * [`GewekeStream`] — the Geweke convergence indicator (Section
+//!   V-A.3, Eq. 14) over a bounded window: first-window prefix plus
+//!   last-window ring. The experiment drivers stop burn-in on it at the
+//!   paper's `z ≤ 0.1`.
 //! * [`RhatAccumulator`] — the cross-chain Gelman–Rubin statistic over
 //!   per-job [`ChainMoments`], foldable at epoch barriers exactly like
 //!   history gossip.
@@ -265,11 +265,9 @@ pub fn ess_batch(series: &[u64]) -> f64 {
 }
 
 /// Bounded Geweke window: the first [`GEWEKE_FIRST_CAPACITY`]-style
-/// prefix plus a ring of the most recent samples. Unlike the
-/// full-series monitor this caps memory for unbounded walks; on the
-/// retained window the z statistic is computed with the exact summation
-/// order of `mto_core::diagnostics::geweke::geweke_z`, so whenever the
-/// whole series fits the two are bit-identical.
+/// prefix plus a ring of the most recent samples, so memory stays
+/// bounded for unbounded walks. While the whole series fits, the z
+/// statistic is the full series' own.
 #[derive(Clone, Debug, PartialEq)]
 pub struct GewekeStream {
     first: Vec<f64>,
@@ -348,7 +346,7 @@ impl GewekeStream {
     /// first 10%, window B = the last 50%, `z = |mean_A − mean_B| /
     /// sqrt(var_A + var_B)`. `None` while either window is empty;
     /// `Some(0.0)` / `Some(∞)` for zero-variance windows with equal /
-    /// distinct means — the exact conventions of the core module.
+    /// distinct means.
     pub fn z(&self) -> Option<f64> {
         let n = self.retained_len();
         let a_len = (n as f64 * GEWEKE_FIRST_FRACTION).floor() as usize;
@@ -368,10 +366,9 @@ impl GewekeStream {
     }
 }
 
-/// Mean and population variance with the identical summation order of
-/// `mto_core::diagnostics::geweke` (sum then divide; squared deviations
-/// summed in series order) — the bit-identical-z contract depends on
-/// replaying those exact float operations.
+/// Mean and population variance: sum then divide, squared deviations
+/// summed in series order. Every reported z and every experiment's
+/// burn-in length depends on these exact float operations.
 fn mean_and_variance(xs: &[f64]) -> (f64, f64) {
     let n = xs.len() as f64;
     let mean = xs.iter().sum::<f64>() / n;
@@ -788,6 +785,58 @@ mod tests {
             split.push(2.0);
         }
         assert_eq!(split.z(), Some(f64::INFINITY));
+    }
+
+    /// A uniform draw from `[0, 1)` off a 64-bit LCG.
+    fn uniform(state: &mut u64) -> f64 {
+        *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (*state >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    fn geweke_of(series: impl IntoIterator<Item = f64>) -> GewekeStream {
+        let mut stream = GewekeStream::new();
+        series.into_iter().for_each(|x| stream.push(x));
+        stream
+    }
+
+    #[test]
+    fn geweke_stream_converges_on_a_stationary_series() {
+        let mut state = 5u64;
+        let z = geweke_of((0..2000).map(|_| uniform(&mut state))).z().unwrap();
+        assert!(z < 0.1, "an iid series must look converged, z = {z}");
+    }
+
+    #[test]
+    fn geweke_stream_flags_a_burn_in_prefix() {
+        // Stuck at 100 for the first 10% of the walk, then mixing around 0.
+        let mut state = 9u64;
+        let mixing = (0..1350).map(|_| 2.0 * uniform(&mut state) - 1.0);
+        let z = geweke_of(std::iter::repeat(100.0).take(150).chain(mixing)).z().unwrap();
+        assert!(z > 0.5, "an unforgotten initial state must be detected, z = {z}");
+    }
+
+    #[test]
+    fn geweke_stream_needs_longer_series_for_tighter_thresholds() {
+        // AR(1)-style correlated noise, tested every 20th sample from the
+        // 100th on: a loose threshold is crossed before a tight one.
+        let mut state = 11u64;
+        let mut x = 5.0f64;
+        let series: Vec<f64> = (0..20_000)
+            .map(|_| {
+                x = 0.99 * x + 2.0 * uniform(&mut state) - 1.0;
+                x
+            })
+            .collect();
+        let crossing = |threshold: f64| {
+            let mut stream = GewekeStream::new();
+            (1..=series.len()).find(|&n| {
+                stream.push(series[n - 1]);
+                n >= 100 && n % 20 == 0 && stream.z().is_some_and(|z| z <= threshold)
+            })
+        };
+        let loose = crossing(0.8).expect("a loose threshold is crossed");
+        let tight = crossing(0.05).expect("a tight threshold is crossed");
+        assert!(loose < tight, "loose {loose} vs tight {tight}");
     }
 
     #[test]
