@@ -16,8 +16,7 @@
 //! * [`rate_limit`] — token-bucket quotas over a virtual clock, with the
 //!   Facebook/Twitter policies the paper quotes;
 //! * [`clock`] — the one shared [`clock::VirtualClock`] that rate limiting
-//!   and the `mto-net` discrete-event engine both advance;
-//! * [`crawler`] — budgeted BFS/DFS baselines.
+//!   and the `mto-net` discrete-event engine both advance.
 //!
 //! ## Example
 //!
@@ -40,7 +39,6 @@
 pub mod cache;
 pub mod client;
 pub mod clock;
-pub mod crawler;
 pub mod error;
 pub mod interface;
 pub mod profile;
