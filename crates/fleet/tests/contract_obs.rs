@@ -172,16 +172,6 @@ fn trace_reports_equal_their_pins() {
             std::iter::once(args[0]).chain(files.iter().map(String::as_str)).collect();
         assert_eq!(mto_trace(&args), pin(name), "mto-trace {name}");
     }
-    let (out, code) =
-        mto_trace(&["diff", &fixture("obs-reference.trace"), &fixture("tight-budget.trace")]);
-    assert_eq!(code, 1);
-    assert!(out.starts_with("first divergent event: index 1\n"), "{out}");
-    let (out, _) =
-        mto_trace(&["mix", &fixture("quality-smoke.trace"), &fixture("quality-smoke.w4.body")]);
-    assert_eq!(
-        out.lines().filter(|l| l.starts_with("cross-check ") && l.ends_with(" OK")).count(),
-        2
-    );
 }
 
 #[test]
@@ -189,7 +179,6 @@ fn baseline_check_and_write_equal_their_pins() {
     let body = fixture("obs-reference.w4.body");
     let check = mto_trace(&["baseline", "check", &obs_baseline(), &body]);
     assert_eq!(check, pin("baseline-check-obs-reference"));
-    assert_eq!(check.1, 0);
 
     // The pin was written over a copy named OBS_BASELINE.json in the
     // working directory, so its report names the copy without a dir.

@@ -12,21 +12,20 @@
 //! mto-trace baseline write <baseline> <report> [request note...]
 //! ```
 //!
-//! [`run`] writes the report to the writer it is given and returns the
-//! exit status: 0 on success; 1 for a failure, a divergence or a drift;
-//! 2 for a usage error. Every nonzero status carries one diagnostic
-//! line, `mto-trace <sub>: <path>: <message>` (the usage text for 2). A
-//! missing, empty, truncated or corrupt file is such a line, never a
+//! [`run`] writes the report to the writer it is given. A run that does
+//! not exit 0 returns a [`Failure`]: status 1 for a failure, a
+//! divergence or a drift, with one diagnostic line, `mto-trace <sub>:
+//! <path>: <message>`; status 2 with the usage text for bad arguments.
+//! A missing, empty, truncated or corrupt file is such a line, never a
 //! panic. So is a header-only trace for every subcommand but `diff`: an
 //! empty report piped onward hides a run that wrote no spans.
 //!
-//! `diff` compares decoded records, so a v1 and a v2 encoding of the
-//! same run are identical. `mix <trace> <report>` appends one
-//! `cross-check` line per job, each job's final traced ESS checked
-//! against the report's `metric quality-*-ess-mil` line. `baseline
-//! write` keeps each still-present metric's tolerance and the request
-//! note of an existing baseline unless a new note is given; metrics new
-//! to the report are pinned at tolerance 0.
+//! `diff` compares decoded records, not bytes. `mix <trace> <report>`
+//! appends one `cross-check` line per job, each job's final traced ESS
+//! checked against the report's `metric quality-*-ess-mil` line.
+//! `baseline write` keeps each still-present metric's tolerance and the
+//! request note of an existing baseline unless a new note is given;
+//! metrics new to the report are pinned at tolerance 0.
 
 use std::io::Write;
 
