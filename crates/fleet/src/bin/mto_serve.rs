@@ -681,16 +681,12 @@ fn render_fleet_report(request: &ServeRequest, report: &FleetReport, quantum: us
     writeln!(out, "merge-conflicts {}", report.merge_conflicts).expect("string write");
     writeln!(out, "makespan-secs {:.3}", report.makespan_secs).expect("string write");
     if let Some(profile) = &request.provider {
-        // The fleet line carries the pipeline's adaptation counters
+        // The fleet line carries the pipelines' token-bucket stalls
         // (summed over shards); the single-client line keeps its
-        // frozen `provider NAME virtual-secs T` shape — CI greps it.
-        let ps = &report.pipeline_stats;
-        writeln!(
-            out,
-            "provider {} ramp-ups={} ramp-downs={} latency-backoffs={} rate-limit-stalls={}",
-            profile.name, ps.ramp_ups, ps.ramp_downs, ps.latency_backoffs, ps.rate_limit_stalls
-        )
-        .expect("string write");
+        // frozen `provider NAME virtual-secs T` shape.
+        let stalls = report.pipeline_stats.rate_limit_stalls;
+        writeln!(out, "provider {} rate-limit-stalls={stalls}", profile.name)
+            .expect("string write");
     }
     if let Some(ledger) = &report.ledger {
         // The ledger figures are shard-invariant: identical lines at

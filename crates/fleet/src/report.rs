@@ -113,8 +113,8 @@ pub struct FleetReport {
     /// The QoS admission review of every submitted job, in submission
     /// order (non-admitted jobs report placeholder outcomes).
     pub admission: Vec<AdmissionDecision>,
-    /// Per-shard pipeline counters summed fleet-wide: ramp-ups/downs,
-    /// latency backoffs, token-bucket stalls, retries, timeouts.
+    /// Per-shard pipeline counters summed fleet-wide: token-bucket
+    /// stalls, retries, timeouts.
     pub pipeline_stats: PipelineStats,
     /// Metrics and trace, when the run was observed
     /// ([`crate::FleetConfig::obs`]).
