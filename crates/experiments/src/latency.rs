@@ -145,7 +145,6 @@ pub fn run(config: &LatencyConfig) -> (LatencyResult, ExperimentReport) {
                     faults: profile.faults,
                     rate_limit: Some(profile.policy),
                     seed: config.seed,
-                    ..Default::default()
                 },
                 unique_query_budget: Some(budget),
             };

@@ -5,10 +5,10 @@
 //! of the job list. Each shard owns a **private** [`CachedClient`] over
 //! its own interface instance, its own [`QueryPipeline`] on its own
 //! [`VirtualClock`] (the shard's wall-clock model: every unique query
-//! the shard pays is replayed through the pipeline with up to `K` — or
-//! adaptively fewer/more — requests in flight), and its sessions'
-//! private overlays. Shards therefore never contend on a lock; the price
-//! is that two shards can *re-pay* for the same node.
+//! the shard pays is replayed through the pipeline with `K` requests in
+//! flight), and its sessions' private overlays. Shards therefore never
+//! contend on a lock; the price is that two shards can *re-pay* for the
+//! same node.
 //!
 //! That price is what the **epoch gossip** recovers: the coordinator
 //! steps every shard through its epoch grants on
@@ -72,7 +72,7 @@ use std::fmt;
 use mto_core::mto::RewireStats;
 use mto_core::walk::Walker;
 use mto_graph::NodeId;
-use mto_net::{Concurrency, PipelineConfig, ProviderProfile, QueryPipeline};
+use mto_net::{PipelineConfig, ProviderProfile, QueryPipeline};
 use mto_obs::quality::{scale_milli, QualityAccumulator};
 use mto_obs::{MetricsRegistry, WallClockRegistry, WallClockScope, WallKey, WallStats};
 use mto_osn::{CacheSnapshot, CachedClient, SharedClient, SocialNetworkInterface, VirtualClock};
@@ -122,13 +122,6 @@ pub struct FleetConfig {
     /// faults); `None` models a plain 50 ms constant-latency provider
     /// with no quota.
     pub provider: Option<ProviderProfile>,
-    /// Per-shard pipeline lanes (max requests in flight).
-    pub max_in_flight: usize,
-    /// Fixed or adaptive in-flight control for the per-shard pipelines.
-    pub concurrency: Concurrency,
-    /// Base seed of the per-shard latency RNGs (shard `s` uses
-    /// `seed + s`).
-    pub seed: u64,
     /// How epoch step capacity is allocated among live jobs:
     /// the fair policies grant lockstep quanta (the historical
     /// behavior), [`SchedulePolicy::EarliestDeadlineFirst`] front-loads
@@ -175,9 +168,6 @@ impl Default for FleetConfig {
             gossip: true,
             merge_order: MergeOrder::Forward,
             provider: None,
-            max_in_flight: 8,
-            concurrency: Concurrency::Fixed,
-            seed: 0xF1EE7,
             policy: SchedulePolicy::RoundRobin,
             fleet_budget: None,
             deadline_policy: DeadlinePolicy::Optimistic,
@@ -203,14 +193,16 @@ fn point(obs: &mut Option<FleetObsData>, t: u64, name: fmt::Arguments<'_>, value
     }
 }
 
+/// Base seed of the per-shard latency RNGs: shard `s` uses
+/// `SHARD_SEED + s`.
+const SHARD_SEED: u64 = 0xF1EE7;
+
 impl FleetConfig {
+    /// Shard `shard`'s pipeline: [`PipelineConfig`]'s default `K`, the
+    /// provider's latency, faults and quota, and its own latency seed.
     fn pipeline_config(&self, shard: usize) -> PipelineConfig {
-        let base = PipelineConfig {
-            max_in_flight: self.max_in_flight.max(1),
-            concurrency: self.concurrency,
-            seed: self.seed.wrapping_add(shard as u64),
-            ..Default::default()
-        };
+        let base =
+            PipelineConfig { seed: SHARD_SEED.wrapping_add(shard as u64), ..Default::default() };
         match self.provider {
             Some(p) => PipelineConfig {
                 latency: p.latency,

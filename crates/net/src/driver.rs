@@ -327,7 +327,6 @@ mod tests {
                 faults: profile.faults,
                 rate_limit: Some(profile.policy),
                 seed: 0xD1CE,
-                ..Default::default()
             },
             unique_query_budget: Some(22),
         }

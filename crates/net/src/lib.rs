@@ -20,11 +20,10 @@
 //! * [`timed`] — [`TimedInterface`]: the blocking (serial) provider
 //!   simulation the `mto-serve` scheduler wraps to report virtual
 //!   wall-clock alongside unique queries;
-//! * [`trace`] / [`driver`] (feature `walkers`, on by default) — the
-//!   **walk-not-wait driver**: records each walker's demand trace, then
-//!   replays the pool through the pipeline under
-//!   [`driver::DriverMode::Serial`] / `Pipelined` / `WalkNotWait`,
-//!   issuing speculative prefetches from the walkers' own
+//! * [`demand`] / [`driver`] — the **walk-not-wait driver**: records
+//!   each walker's demand trace, then replays the pool through the
+//!   pipeline under [`driver::DriverMode::Serial`] / `Pipelined` /
+//!   `WalkNotWait`, issuing speculative prefetches from the walkers' own
 //!   overlay-adjusted frontiers while they stall.
 //!
 //! The clock is `mto-osn`'s [`VirtualClock`] (re-exported here): rate
@@ -60,21 +59,17 @@
 
 #![warn(missing_docs)]
 
+pub mod demand;
+pub mod driver;
 pub mod event;
 pub mod latency;
 pub mod pipeline;
 pub mod timed;
 
-#[cfg(feature = "walkers")]
-pub mod demand;
-#[cfg(feature = "walkers")]
-pub mod driver;
-
 pub use event::{Event, EventQueue};
 pub use latency::{FaultModel, LatencyModel, ProviderProfile};
 pub use pipeline::{
-    Completion, Concurrency, PipelineConfig, PipelineObs, PipelineStats, QueryPipeline, RequestId,
-    LATENCY_WINDOW,
+    Completion, PipelineConfig, PipelineObs, PipelineStats, QueryPipeline, RequestId,
 };
 pub use timed::TimedInterface;
 
@@ -83,7 +78,5 @@ pub use timed::TimedInterface;
 // the event engine's clock.
 pub use mto_osn::VirtualClock;
 
-#[cfg(feature = "walkers")]
 pub use demand::{record_traces, PoolJob, WalkTrace, WalkerSpec};
-#[cfg(feature = "walkers")]
 pub use driver::{replay_pool, run_pool, DriverConfig, DriverMode, PoolReport, WalkerOutcome};

@@ -33,36 +33,11 @@ use crate::latency::{FaultModel, LatencyModel};
 /// Identifier of one submitted request (the submission sequence number).
 pub type RequestId = u64;
 
-/// How the pipeline chooses its in-flight limit.
-///
-/// Fixed `K` wastes lanes on quota-bound workloads (requests park on
-/// connections waiting for tokens) and leaves throughput on the table
-/// when the bucket is deep. [`Concurrency::Adaptive`] ramps the live
-/// limit between a floor and [`PipelineConfig::max_in_flight`] against
-/// the *observed token-bucket headroom*: one more lane whenever the
-/// bucket could feed it, one fewer when the bucket runs dry. All inputs
-/// are virtual, so adaptivity is as deterministic as everything else.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Concurrency {
-    /// Always allow exactly `max_in_flight` requests in flight.
-    #[default]
-    Fixed,
-    /// Ramp the live limit between `min_in_flight` and `max_in_flight`
-    /// based on rate-limit headroom at each submission.
-    Adaptive {
-        /// Lower bound of the ramp (clamped to `1..=max_in_flight`).
-        min_in_flight: usize,
-    },
-}
-
 /// Tuning of a [`QueryPipeline`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PipelineConfig {
-    /// Maximum requests in flight (virtual connections), ≥ 1.
+    /// Requests in flight (virtual connections), ≥ 1.
     pub max_in_flight: usize,
-    /// Fixed-K or headroom-adaptive in-flight limit (see [`Concurrency`];
-    /// the default keeps the historical fixed-K behavior).
-    pub concurrency: Concurrency,
     /// Per-request service-time distribution.
     pub latency: LatencyModel,
     /// Timeout injection.
@@ -70,31 +45,17 @@ pub struct PipelineConfig {
     /// Provider quota enforced at request *start* time (`None` = no
     /// limit).
     pub rate_limit: Option<RateLimitPolicy>,
-    /// Latency-aware back-off for [`Concurrency::Adaptive`]: when the
-    /// rolling mean completion latency (over the last
-    /// [`LATENCY_WINDOW`] completions) exceeds this factor times the
-    /// latency model's expectation ([`LatencyModel::mean`]), the
-    /// controller sheds one lane — a slow provider is a signal to ease
-    /// off, independent of token headroom. `None` disables the rule;
-    /// fixed-K pipelines ignore it entirely.
-    pub latency_backoff: Option<f64>,
     /// Seed of the latency/fault RNG.
     pub seed: u64,
 }
-
-/// Completions the latency-aware ramp averages over (and the minimum
-/// sample count before it may trigger).
-pub const LATENCY_WINDOW: usize = 8;
 
 impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
             max_in_flight: 8,
-            concurrency: Concurrency::Fixed,
             latency: LatencyModel::Constant { secs: 0.05 },
             faults: FaultModel::none(),
             rate_limit: None,
-            latency_backoff: None,
             seed: 0x7E7,
         }
     }
@@ -133,13 +94,6 @@ pub struct PipelineStats {
     pub rate_limit_stalls: u64,
     /// Transient provider failures retried at completion.
     pub transient_retries: u64,
-    /// Times the adaptive controller raised the in-flight limit.
-    pub ramp_ups: u64,
-    /// Times the adaptive controller lowered the in-flight limit.
-    pub ramp_downs: u64,
-    /// Ramp-downs forced by the latency rule alone (slow completions,
-    /// token headroom notwithstanding); a subset of `ramp_downs`.
-    pub latency_backoffs: u64,
 }
 
 /// Field-wise totals, e.g. over a fleet's per-shard pipelines.
@@ -151,9 +105,6 @@ impl std::iter::Sum for PipelineStats {
             timeouts: a.timeouts + b.timeouts,
             rate_limit_stalls: a.rate_limit_stalls + b.rate_limit_stalls,
             transient_retries: a.transient_retries + b.transient_retries,
-            ramp_ups: a.ramp_ups + b.ramp_ups,
-            ramp_downs: a.ramp_downs + b.ramp_downs,
-            latency_backoffs: a.latency_backoffs + b.latency_backoffs,
         })
     }
 }
@@ -192,15 +143,11 @@ pub struct QueryPipeline<I> {
     config: PipelineConfig,
     rng: StdRng,
     bucket: Option<TokenBucket>,
-    /// Busy-until times of the live virtual connections (entries in the
-    /// past mean "idle"). Never grows beyond the current in-flight
-    /// limit: a submit that finds it full pops the earliest-free entry
-    /// and queues behind it.
+    /// Busy-until times of the virtual connections (entries in the
+    /// past mean "idle"). Never grows beyond `max_in_flight`: a submit
+    /// that finds it full pops the earliest-free entry and queues behind
+    /// it.
     servers: BinaryHeap<Reverse<u64>>,
-    /// The live in-flight limit: `max_in_flight` under
-    /// [`Concurrency::Fixed`], the controller's current choice under
-    /// [`Concurrency::Adaptive`].
-    current_limit: usize,
     events: EventQueue<Pending>,
     /// Completions popped while waiting for a specific id, keyed by
     /// `(completion_us, id)` so they re-emerge in event order.
@@ -208,10 +155,6 @@ pub struct QueryPipeline<I> {
     /// Tokens are granted in submission order: no acquisition may be
     /// backdated before an earlier one (the bucket refills monotonically).
     token_cursor_us: u64,
-    /// Service times (started → completed, virtual secs) of the last
-    /// [`LATENCY_WINDOW`] completions — the rolling sample the
-    /// latency-aware ramp judges against the model's expectation.
-    recent_latency: std::collections::VecDeque<f64>,
     /// One line per completion, appended strictly in event order — the
     /// determinism witness.
     log: Vec<String>,
@@ -236,21 +179,15 @@ impl<I: SocialNetworkInterface> QueryPipeline<I> {
     pub fn with_clock(inner: I, config: PipelineConfig, clock: VirtualClock) -> Self {
         assert!(config.max_in_flight >= 1, "pipeline needs at least one connection");
         assert!(config.faults.max_attempts >= 1, "requests need at least one attempt");
-        let current_limit = match config.concurrency {
-            Concurrency::Fixed => config.max_in_flight,
-            Concurrency::Adaptive { min_in_flight } => min_in_flight.clamp(1, config.max_in_flight),
-        };
         QueryPipeline {
             inner,
             clock,
             rng: StdRng::seed_from_u64(config.seed),
             bucket: config.rate_limit.map(TokenBucket::new),
             servers: BinaryHeap::with_capacity(config.max_in_flight),
-            current_limit,
             events: EventQueue::new(),
             ready: BTreeMap::new(),
             token_cursor_us: 0,
-            recent_latency: std::collections::VecDeque::with_capacity(LATENCY_WINDOW),
             log: Vec::new(),
             next_id: 0,
             stats: PipelineStats::default(),
@@ -319,69 +256,8 @@ impl<I: SocialNetworkInterface> QueryPipeline<I> {
     /// speculation never queues ahead of demand traffic.
     pub fn has_idle_connection(&self) -> bool {
         let now = self.clock.now_us();
-        self.servers.len() < self.current_limit
+        self.servers.len() < self.config.max_in_flight
             || self.servers.peek().is_some_and(|Reverse(t)| *t <= now)
-    }
-
-    /// The live in-flight limit: constant under [`Concurrency::Fixed`],
-    /// the adaptive controller's current choice otherwise.
-    pub fn in_flight_limit(&self) -> usize {
-        self.current_limit
-    }
-
-    /// Re-evaluates the in-flight limit before a submission (a no-op
-    /// under [`Concurrency::Fixed`]). Policy: one more lane whenever the
-    /// bucket holds enough tokens to feed every live lane plus one; one
-    /// fewer when the bucket cannot even cover a single request — or,
-    /// with [`PipelineConfig::latency_backoff`] set, when the rolling
-    /// mean completion latency exceeds that factor of the model's
-    /// expectation (a slow provider sheds a lane even with token
-    /// headroom to spare). Every input is virtual state, so the ramp is
-    /// deterministic.
-    fn adapt_limit(&mut self) {
-        let Concurrency::Adaptive { min_in_flight } = self.config.concurrency else {
-            return;
-        };
-        let max = self.config.max_in_flight;
-        let min = min_in_flight.clamp(1, max);
-        let headroom = self.tokens_available();
-        let mut want = if headroom >= (self.current_limit + 1) as f64 {
-            self.current_limit + 1
-        } else if headroom < 1.0 {
-            self.current_limit.saturating_sub(1)
-        } else {
-            self.current_limit
-        };
-        if let Some(factor) = self.config.latency_backoff {
-            let expected = self.config.latency.mean();
-            if self.recent_latency.len() >= LATENCY_WINDOW && expected > 0.0 {
-                let mean: f64 =
-                    self.recent_latency.iter().sum::<f64>() / self.recent_latency.len() as f64;
-                if mean > factor * expected {
-                    let slowed = self.current_limit.saturating_sub(1);
-                    if slowed < want && slowed.clamp(min, max) < self.current_limit {
-                        self.stats.latency_backoffs += 1;
-                    }
-                    want = want.min(slowed);
-                }
-            }
-        }
-        let want = want.clamp(min, max);
-        match want.cmp(&self.current_limit) {
-            std::cmp::Ordering::Greater => self.stats.ramp_ups += 1,
-            std::cmp::Ordering::Less => {
-                self.stats.ramp_downs += 1;
-                // Retire the *busiest* connections so the survivors are
-                // the earliest to free up; in-flight work on retired
-                // lanes still completes (events are already scheduled).
-                let mut lanes: Vec<u64> = self.servers.drain().map(|Reverse(t)| t).collect();
-                lanes.sort_unstable();
-                lanes.truncate(want);
-                self.servers.extend(lanes.into_iter().map(Reverse));
-            }
-            std::cmp::Ordering::Equal => {}
-        }
-        self.current_limit = want;
     }
 
     /// Rate-limit tokens currently spendable (∞ when unlimited), *after*
@@ -433,12 +309,11 @@ impl<I: SocialNetworkInterface> QueryPipeline<I> {
     pub fn submit(&mut self, v: NodeId) -> RequestId {
         let id = self.next_id;
         self.next_id += 1;
-        self.adapt_limit();
         let submitted_us = self.clock.now_us();
 
         // Reserve a connection: idle one now, else queue behind the
         // earliest-free.
-        let free_at = if self.servers.len() < self.current_limit {
+        let free_at = if self.servers.len() < self.config.max_in_flight {
             submitted_us
         } else {
             let Reverse(earliest) = self.servers.pop().expect("full heap is non-empty");
@@ -492,11 +367,6 @@ impl<I: SocialNetworkInterface> QueryPipeline<I> {
             obs.queue_wait_us.record(p.started_us.saturating_sub(p.submitted_us));
             obs.service_time_us.record(event.time_us.saturating_sub(p.started_us));
         }
-        if self.recent_latency.len() == LATENCY_WINDOW {
-            self.recent_latency.pop_front();
-        }
-        self.recent_latency
-            .push_back(VirtualClock::us_to_secs(event.time_us.saturating_sub(p.started_us)));
         let summary = match &response {
             Ok(r) => format!("ok degree={}", r.degree()),
             Err(e) => format!("err {e}"),
@@ -750,165 +620,6 @@ mod tests {
         };
         assert_eq!(run(3), run(3));
         assert_ne!(run(3), run(4));
-    }
-
-    #[test]
-    fn fixed_concurrency_default_is_byte_identical_to_explicit_fixed() {
-        let run = |concurrency| {
-            let mut p = pipeline(PipelineConfig {
-                max_in_flight: 4,
-                concurrency,
-                latency: LatencyModel::LogNormal { median_secs: 0.2, sigma: 0.8 },
-                rate_limit: Some(RateLimitPolicy { burst: 6, refill_per_sec: 2.0 }),
-                seed: 11,
-                ..Default::default()
-            });
-            for v in 0..14u32 {
-                p.submit(NodeId(v % 22));
-            }
-            p.drain();
-            (p.log_text(), p.stats())
-        };
-        let (log_default, stats_default) = run(Concurrency::Fixed);
-        assert_eq!(stats_default.ramp_ups, 0, "fixed K never ramps");
-        assert_eq!(stats_default.ramp_downs, 0);
-        let mut p = pipeline(PipelineConfig::default());
-        assert_eq!(p.in_flight_limit(), 8);
-        p.submit(NodeId(0));
-        assert_eq!(p.in_flight_limit(), 8, "fixed limit is inert");
-        assert!(!log_default.is_empty());
-    }
-
-    #[test]
-    fn adaptive_ramps_to_max_under_unlimited_headroom() {
-        let mut p = pipeline(PipelineConfig {
-            max_in_flight: 6,
-            concurrency: Concurrency::Adaptive { min_in_flight: 1 },
-            latency: LatencyModel::Constant { secs: 0.1 },
-            ..Default::default()
-        });
-        assert_eq!(p.in_flight_limit(), 1, "adaptive starts at the floor");
-        for v in 0..12u32 {
-            p.submit(NodeId(v % 22));
-        }
-        assert_eq!(p.in_flight_limit(), 6, "no quota: every submit earns a lane");
-        assert_eq!(p.stats().ramp_ups, 5);
-        assert_eq!(p.stats().ramp_downs, 0);
-        let done = p.drain();
-        assert_eq!(done.len(), 12);
-    }
-
-    #[test]
-    fn adaptive_backs_off_when_the_bucket_runs_dry() {
-        // Burst 3 at a slow refill: after the burst is spent the
-        // controller must fall back to the floor instead of parking
-        // requests on lanes that only wait for tokens.
-        let mut p = pipeline(PipelineConfig {
-            max_in_flight: 8,
-            concurrency: Concurrency::Adaptive { min_in_flight: 2 },
-            latency: LatencyModel::Constant { secs: 0.01 },
-            rate_limit: Some(RateLimitPolicy { burst: 3, refill_per_sec: 0.5 }),
-            ..Default::default()
-        });
-        for v in 0..10u32 {
-            p.submit(NodeId(v % 22));
-        }
-        let done = p.drain();
-        assert_eq!(done.len(), 10);
-        assert!(p.stats().ramp_downs > 0, "an exhausted bucket must shed lanes");
-        assert_eq!(p.in_flight_limit(), 2, "settles at the floor while quota-bound");
-    }
-
-    #[test]
-    fn adaptive_limit_stays_within_its_bounds_and_is_deterministic() {
-        let run = || {
-            let mut p = pipeline(PipelineConfig {
-                max_in_flight: 5,
-                concurrency: Concurrency::Adaptive { min_in_flight: 2 },
-                latency: LatencyModel::LogNormal { median_secs: 0.2, sigma: 0.7 },
-                rate_limit: Some(RateLimitPolicy { burst: 4, refill_per_sec: 1.0 }),
-                seed: 23,
-                ..Default::default()
-            });
-            let mut limits = Vec::new();
-            for v in 0..20u32 {
-                p.submit(NodeId(v % 22));
-                limits.push(p.in_flight_limit());
-            }
-            p.drain();
-            (limits, p.log_text())
-        };
-        let (limits, log) = run();
-        assert!(limits.iter().all(|&k| (2..=5).contains(&k)), "limits {limits:?}");
-        assert_eq!((limits, log), run(), "adaptive control must stay deterministic");
-    }
-
-    #[test]
-    fn latency_backoff_sheds_lanes_when_completions_run_slow() {
-        // Injected timeouts make the measured service time (~2.05 s)
-        // dwarf the model's 50 ms expectation, so the latency rule must
-        // shed lanes down to the floor even though tokens are unlimited
-        // (the old headroom-only rule would have ramped to max).
-        let mut p = pipeline(PipelineConfig {
-            max_in_flight: 6,
-            concurrency: Concurrency::Adaptive { min_in_flight: 2 },
-            latency: LatencyModel::Constant { secs: 0.05 },
-            faults: FaultModel { timeout_prob: 1.0, timeout_secs: 2.0, max_attempts: 2 },
-            latency_backoff: Some(2.0),
-            ..Default::default()
-        });
-        for v in 0..40u32 {
-            p.submit(NodeId(v % 22));
-            // Interleave retrieval so completions feed the rolling window.
-            p.next_completion();
-        }
-        p.drain();
-        assert!(p.stats().latency_backoffs > 0, "slow completions must trigger the rule");
-        assert_eq!(p.in_flight_limit(), 2, "settles at the floor while the provider is slow");
-    }
-
-    #[test]
-    fn latency_backoff_stays_quiet_when_completions_match_the_model() {
-        let run = |backoff| {
-            let mut p = pipeline(PipelineConfig {
-                max_in_flight: 6,
-                concurrency: Concurrency::Adaptive { min_in_flight: 1 },
-                latency: LatencyModel::Constant { secs: 0.05 },
-                latency_backoff: backoff,
-                ..Default::default()
-            });
-            for v in 0..30u32 {
-                p.submit(NodeId(v % 22));
-                p.next_completion();
-            }
-            p.drain();
-            (p.log_text(), p.stats())
-        };
-        let (log_on, stats_on) = run(Some(1.5));
-        let (log_off, stats_off) = run(None);
-        assert_eq!(stats_on.latency_backoffs, 0, "on-model completions never back off");
-        assert_eq!(log_on, log_off, "an idle rule must not perturb the stream");
-        assert_eq!(stats_on, stats_off);
-    }
-
-    #[test]
-    fn fixed_k_ignores_the_latency_backoff_knob() {
-        let run = |backoff| {
-            let mut p = pipeline(PipelineConfig {
-                max_in_flight: 4,
-                latency: LatencyModel::LogNormal { median_secs: 0.2, sigma: 0.9 },
-                faults: FaultModel { timeout_prob: 0.3, timeout_secs: 1.0, max_attempts: 3 },
-                latency_backoff: backoff,
-                seed: 41,
-                ..Default::default()
-            });
-            for v in 0..20u32 {
-                p.submit(NodeId(v % 22));
-            }
-            p.drain();
-            (p.log_text(), p.stats())
-        };
-        assert_eq!(run(Some(0.01)), run(None), "fixed-K must stay byte-identical");
     }
 
     #[test]

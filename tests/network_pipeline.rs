@@ -61,7 +61,6 @@ fn walk_not_wait_beats_serial_on_the_barbell() {
                 faults: profile.faults,
                 rate_limit: Some(profile.policy),
                 seed: 0xBEEF,
-                ..Default::default()
             },
             unique_query_budget: Some(22),
         };
