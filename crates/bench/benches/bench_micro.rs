@@ -397,7 +397,7 @@ fn bench_qos(c: &mut Criterion) {
         })
         .collect();
     group.bench_function("edf-plan-epoch-64", |b| {
-        let config = PlannerConfig { quantum: 64, ..Default::default() };
+        let config = PlannerConfig { quantum: 64 };
         b.iter(|| {
             std::hint::black_box(plan_epoch(SchedulePolicy::EarliestDeadlineFirst, &config, &live))
         })

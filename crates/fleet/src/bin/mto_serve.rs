@@ -617,7 +617,7 @@ fn render_job_line(
         write!(out, " deadline={d:.3}").expect("string write");
         // The met flag needs a finish instant to judge against — the
         // fleet stamps one; the plain scheduler does not, and a job that
-        // never ran (deferred/rejected/cut) has verifiably missed. A
+        // never ran (deferred/cut) has verifiably missed. A
         // completed job with no timestamp reports no verdict rather than
         // a false miss.
         if o.finished_secs.is_some() || !o.completed {

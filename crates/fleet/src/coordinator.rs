@@ -29,8 +29,8 @@
 //!
 //! * **admission** — before any shard is built, every job is reviewed
 //!   against its deadline and the fleet budget
-//!   ([`AdmissionController`]); rejected and deferred jobs never run and
-//!   report placeholder outcomes;
+//!   ([`mto_qos::review`]); deferred jobs never run and report
+//!   placeholder outcomes;
 //! * **EDF planning** — under
 //!   [`SchedulePolicy::EarliestDeadlineFirst`] each epoch's fleet-wide
 //!   step capacity is dealt out earliest-deadline-first with aging
@@ -76,9 +76,9 @@ use mto_net::{PipelineConfig, ProviderProfile, QueryPipeline};
 use mto_obs::quality::{scale_milli, QualityAccumulator};
 use mto_obs::{MetricsRegistry, WallClockRegistry, WallClockScope, WallKey, WallStats};
 use mto_osn::{CacheSnapshot, CachedClient, SharedClient, SocialNetworkInterface, VirtualClock};
+use mto_qos::planner::AGING_EPOCHS;
 use mto_qos::{
-    plan_epoch, AdmissionController, AdmissionDecision, BudgetLedger, CostPredictor,
-    DeadlinePolicy, LiveJob, PlannerConfig,
+    plan_epoch, review, AdmissionDecision, BudgetLedger, CostPredictor, LiveJob, PlannerConfig,
 };
 use mto_serve::error::{Result, ServeError};
 use mto_serve::history::HistoryStore;
@@ -131,8 +131,6 @@ pub struct FleetConfig {
     /// the [`BudgetLedger`] and rebalanced at epoch barriers. `None`
     /// runs unbudgeted.
     pub fleet_budget: Option<u64>,
-    /// How admission treats predicted-unmeetable deadlines.
-    pub deadline_policy: DeadlinePolicy,
     /// Collect observability: per-shard metrics registries merged at
     /// every epoch barrier, pipeline queue-wait/service-time histograms,
     /// and the deterministic `mto-trace/v2` trace. Off by default — the
@@ -170,7 +168,6 @@ impl Default for FleetConfig {
             provider: None,
             policy: SchedulePolicy::RoundRobin,
             fleet_budget: None,
-            deadline_policy: DeadlinePolicy::Optimistic,
             obs: false,
             wall: false,
             quality: false,
@@ -478,8 +475,8 @@ struct FleetRun<'a, I: SocialNetworkInterface> {
 }
 
 impl<'a, I: SocialNetworkInterface + Send + Sync> FleetRun<'a, I> {
-    /// **Admit.** Validates every spec up front (rejected and deferred
-    /// jobs never reach a session, which would validate on creation),
+    /// **Admit.** Validates every spec up front (deferred jobs never
+    /// reach a session, which would validate on creation),
     /// reviews the jobs against their deadlines and the budget — a pure
     /// function of (jobs, history, budget), so every `W` admits the same
     /// set — splits the ledger over the admitted accounts, registers
@@ -497,12 +494,7 @@ impl<'a, I: SocialNetworkInterface + Send + Sync> FleetRun<'a, I> {
         if let Some(p) = &config.provider {
             predictor = predictor.with_provider(p);
         }
-        let decisions = AdmissionController::new(config.deadline_policy).review(
-            &predictor,
-            &jobs,
-            warm_start,
-            config.fleet_budget,
-        );
+        let decisions = review(&predictor, &jobs, warm_start, config.fleet_budget);
         let admitted: Vec<usize> =
             decisions.iter().filter(|d| d.verdict.admitted()).map(|d| d.job_index).collect();
         let ledger = config.fleet_budget.map(|budget| {
@@ -533,7 +525,7 @@ impl<'a, I: SocialNetworkInterface + Send + Sync> FleetRun<'a, I> {
             config,
             warm_start,
             predictor,
-            planner: PlannerConfig { quantum: config.epoch_quantum.max(1), ..Default::default() },
+            planner: PlannerConfig { quantum: config.epoch_quantum.max(1) },
             ledger,
             quality,
             obs,
@@ -658,7 +650,7 @@ impl<'a, I: SocialNetworkInterface + Send + Sync> FleetRun<'a, I> {
             // An EDF aging promotion is visible in the plan's own inputs:
             // a job starved past the threshold that got a grant this
             // epoch was promoted ahead of every deadline.
-            if edf && job.starved_epochs >= self.planner.aging_epochs {
+            if edf && job.starved_epochs >= AGING_EPOCHS {
                 let starved = u64::from(job.starved_epochs);
                 point(&mut self.obs, t, format_args!("aging-promotion-{id}"), starved);
             }
@@ -1501,26 +1493,6 @@ mod tests {
         // quantum's overshoot per job.
         let spent = tight.ledger.unwrap().spent;
         assert!(spent >= 6, "the budget itself is spendable");
-    }
-
-    #[test]
-    fn strict_deadline_policy_rejects_hopeless_jobs_up_front() {
-        let mut jobs = mixed_jobs();
-        // 400 steps at ≥ 50 ms per predicted query cannot finish in 1 ms.
-        jobs[0].deadline = Some(0.001);
-        let report = barbell_fleet(FleetConfig {
-            shards: 2,
-            deadline_policy: DeadlinePolicy::Strict,
-            ..Default::default()
-        })
-        .run(jobs)
-        .unwrap();
-        assert_eq!(report.admission[0].verdict, AdmissionVerdict::Reject);
-        let rejected = &report.outcomes[0];
-        assert_eq!((rejected.steps, rejected.completed), (0, false), "never ran");
-        assert!(rejected.history.is_empty());
-        // The other three ran normally.
-        assert!(report.outcomes[1..].iter().all(|o| o.completed));
     }
 
     #[test]

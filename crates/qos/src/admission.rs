@@ -1,14 +1,12 @@
 //! Deterministic admission control over predicted cost.
 //!
-//! Before a fleet spends a single query, the
-//! [`AdmissionController`] reviews every job against two constraints:
+//! Before a fleet spends a single query, [`review`] checks every job
+//! against two constraints:
 //!
 //! * **deadline feasibility** — a job asking to finish in `deadline`
 //!   virtual seconds whose predicted completion time already exceeds it
-//!   is hopeless; [`DeadlinePolicy::Strict`] rejects it outright (fail
-//!   fast, spend nothing), [`DeadlinePolicy::Optimistic`] admits it
-//!   flagged [`AdmissionVerdict::AtRisk`] (prediction is a model, the
-//!   walk may beat it);
+//!   is admitted flagged [`AdmissionVerdict::AtRisk`] (prediction is a
+//!   model, the walk may beat it);
 //! * **fleet budget** — jobs claim the shared unique-query budget in
 //!   deadline order (earliest first, best-effort last, ties by
 //!   submission index); jobs whose predicted cost no longer fits are
@@ -26,19 +24,6 @@ use mto_serve::session::JobSpec;
 
 use crate::predictor::CostPredictor;
 
-/// How admission treats a job whose predicted completion time already
-/// exceeds its deadline.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DeadlinePolicy {
-    /// Admit it anyway, flagged [`AdmissionVerdict::AtRisk`] — the
-    /// prediction is a model and the walk may beat it.
-    #[default]
-    Optimistic,
-    /// Reject it outright: fail fast and spend nothing on a hopeless
-    /// deadline.
-    Strict,
-}
-
 /// What admission decided for one job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AdmissionVerdict {
@@ -49,9 +34,6 @@ pub enum AdmissionVerdict {
     /// Do not run it this round: the fleet budget is already fully
     /// claimed by earlier-deadline work.
     Defer,
-    /// Do not run it at all: its deadline is predicted unmeetable under
-    /// [`DeadlinePolicy::Strict`].
-    Reject,
 }
 
 impl AdmissionVerdict {
@@ -60,13 +42,12 @@ impl AdmissionVerdict {
         matches!(self, AdmissionVerdict::Admit | AdmissionVerdict::AtRisk)
     }
 
-    /// Wire name (`admit` / `at-risk` / `defer` / `reject`).
+    /// Wire name (`admit` / `at-risk` / `defer`).
     pub fn name(&self) -> &'static str {
         match self {
             AdmissionVerdict::Admit => "admit",
             AdmissionVerdict::AtRisk => "at-risk",
             AdmissionVerdict::Defer => "defer",
-            AdmissionVerdict::Reject => "reject",
         }
     }
 }
@@ -88,99 +69,72 @@ pub struct AdmissionDecision {
     pub reason: Option<String>,
 }
 
-/// Reviews a job list against deadlines and a fleet budget.
-#[derive(Clone, Debug)]
-pub struct AdmissionController {
-    policy: DeadlinePolicy,
-}
+/// Reviews `jobs` (in submission order) over the warm history and an
+/// optional fleet-wide unique-query budget. Decisions come back in
+/// submission order; the review itself claims budget in deadline order
+/// (earliest deadline first, best-effort last, ties by submission index)
+/// so urgent work is never crowded out by best-effort jobs submitted
+/// earlier.
+pub fn review(
+    predictor: &CostPredictor,
+    jobs: &[JobSpec],
+    store: Option<&HistoryStore>,
+    fleet_budget: Option<u64>,
+) -> Vec<AdmissionDecision> {
+    let mut decisions: Vec<AdmissionDecision> = jobs
+        .iter()
+        .enumerate()
+        .map(|(job_index, spec)| {
+            let predicted_queries = predictor.predict_queries(spec, store);
+            let predicted_secs = predictor.predict_secs(predicted_queries);
+            let (verdict, reason) = match spec.deadline {
+                Some(d) if predicted_secs > d => (
+                    AdmissionVerdict::AtRisk,
+                    Some(format!(
+                        "predicted completion {predicted_secs:.1}s exceeds the {d:.1}s deadline"
+                    )),
+                ),
+                _ => (AdmissionVerdict::Admit, None),
+            };
+            AdmissionDecision {
+                job_index,
+                id: spec.id.clone(),
+                predicted_queries,
+                predicted_secs,
+                verdict,
+                reason,
+            }
+        })
+        .collect();
 
-impl AdmissionController {
-    /// A controller under `policy`.
-    pub fn new(policy: DeadlinePolicy) -> Self {
-        AdmissionController { policy }
-    }
-
-    /// Reviews `jobs` (in submission order) over the warm history and an
-    /// optional fleet-wide unique-query budget. Decisions come back in
-    /// submission order; the review itself claims budget in deadline
-    /// order (earliest deadline first, best-effort last, ties by
-    /// submission index) so urgent work is never crowded out by
-    /// best-effort jobs submitted earlier.
-    pub fn review(
-        &self,
-        predictor: &CostPredictor,
-        jobs: &[JobSpec],
-        store: Option<&HistoryStore>,
-        fleet_budget: Option<u64>,
-    ) -> Vec<AdmissionDecision> {
-        let mut decisions: Vec<AdmissionDecision> = jobs
-            .iter()
-            .enumerate()
-            .map(|(job_index, spec)| {
-                let predicted_queries = predictor.predict_queries(spec, store);
-                let predicted_secs = predictor.predict_secs(predicted_queries);
-                let (verdict, reason) = match spec.deadline {
-                    Some(d) if predicted_secs > d => match self.policy {
-                        DeadlinePolicy::Strict => (
-                            AdmissionVerdict::Reject,
-                            Some(format!(
-                                "predicted completion {predicted_secs:.1}s exceeds the \
-                                 {d:.1}s deadline"
-                            )),
-                        ),
-                        DeadlinePolicy::Optimistic => (
-                            AdmissionVerdict::AtRisk,
-                            Some(format!(
-                                "predicted completion {predicted_secs:.1}s exceeds the \
-                                 {d:.1}s deadline"
-                            )),
-                        ),
-                    },
-                    _ => (AdmissionVerdict::Admit, None),
-                };
-                AdmissionDecision {
-                    job_index,
-                    id: spec.id.clone(),
-                    predicted_queries,
-                    predicted_secs,
-                    verdict,
-                    reason,
-                }
-            })
-            .collect();
-
-        if let Some(budget) = fleet_budget {
-            // Budget is claimed in deadline order, ties by index.
-            let mut order: Vec<usize> = (0..jobs.len()).collect();
-            order.sort_by(|&a, &b| {
-                // total_cmp: a NaN deadline (rejected by JobSpec
-                // validation, but this is a pub API) must not panic the
-                // sort — it orders after every finite deadline.
-                let d = |i: usize| jobs[i].deadline.unwrap_or(f64::INFINITY);
-                d(a).total_cmp(&d(b)).then(a.cmp(&b))
-            });
-            let mut claimed: u64 = 0;
-            for i in order {
-                if !decisions[i].verdict.admitted() {
-                    continue;
-                }
-                if claimed >= budget {
-                    decisions[i].verdict = AdmissionVerdict::Defer;
-                    decisions[i].reason = Some(format!(
-                        "fleet budget {budget} already claimed ({claimed} predicted by \
-                         earlier-deadline jobs)"
-                    ));
-                } else {
-                    // Jobs are admitted while predicted demand has not
-                    // yet filled the budget; the last admit may claim
-                    // past it — the ledger enforces the actual cap, and
-                    // a nonzero budget never admits an empty set.
-                    claimed = claimed.saturating_add(decisions[i].predicted_queries);
-                }
+    if let Some(budget) = fleet_budget {
+        // Budget is claimed in deadline order, ties by index.
+        let mut order: Vec<usize> = (0..jobs.len()).collect();
+        order.sort_by(|&a, &b| {
+            // total_cmp: a NaN deadline (rejected by JobSpec validation,
+            // but this is a pub API) must not panic the sort — it orders
+            // after every finite deadline.
+            let d = |i: usize| jobs[i].deadline.unwrap_or(f64::INFINITY);
+            d(a).total_cmp(&d(b)).then(a.cmp(&b))
+        });
+        let mut claimed: u64 = 0;
+        for i in order {
+            if claimed >= budget {
+                decisions[i].verdict = AdmissionVerdict::Defer;
+                decisions[i].reason = Some(format!(
+                    "fleet budget {budget} already claimed ({claimed} predicted by \
+                     earlier-deadline jobs)"
+                ));
+            } else {
+                // Jobs are admitted while predicted demand has not yet
+                // filled the budget; the last admit may claim past it —
+                // the ledger enforces the actual cap, and a nonzero
+                // budget never admits an empty set.
+                claimed = claimed.saturating_add(decisions[i].predicted_queries);
             }
         }
-        decisions
     }
+    decisions
 }
 
 #[cfg(test)]
@@ -204,10 +158,8 @@ mod tests {
 
     #[test]
     fn unconstrained_jobs_are_admitted_with_predictions_attached() {
-        let controller = AdmissionController::new(DeadlinePolicy::Optimistic);
         let predictor = CostPredictor::new(Some(1000));
-        let decisions =
-            controller.review(&predictor, &[job("a", 100, None), job("b", 50, None)], None, None);
+        let decisions = review(&predictor, &[job("a", 100, None), job("b", 50, None)], None, None);
         assert_eq!(decisions.len(), 2);
         assert!(decisions.iter().all(|d| d.verdict == AdmissionVerdict::Admit));
         assert!(decisions[0].predicted_queries > decisions[1].predicted_queries);
@@ -220,15 +172,11 @@ mod tests {
         // ~7000 predicted queries at 50 ms each ≈ 350 s — a 1 s deadline
         // is hopeless.
         let jobs = vec![job("tight", 10_000, Some(1.0)), job("loose", 10, Some(1e6))];
-        let strict =
-            AdmissionController::new(DeadlinePolicy::Strict).review(&predictor, &jobs, None, None);
-        assert_eq!(strict[0].verdict, AdmissionVerdict::Reject);
-        assert!(strict[0].reason.as_deref().unwrap().contains("deadline"));
-        assert_eq!(strict[1].verdict, AdmissionVerdict::Admit);
-        let optimistic = AdmissionController::new(DeadlinePolicy::Optimistic)
-            .review(&predictor, &jobs, None, None);
-        assert_eq!(optimistic[0].verdict, AdmissionVerdict::AtRisk);
-        assert!(optimistic[0].verdict.admitted(), "at-risk jobs still run");
+        let decisions = review(&predictor, &jobs, None, None);
+        assert_eq!(decisions[0].verdict, AdmissionVerdict::AtRisk);
+        assert!(decisions[0].reason.as_deref().unwrap().contains("deadline"));
+        assert!(decisions[0].verdict.admitted(), "at-risk jobs still run");
+        assert_eq!(decisions[1].verdict, AdmissionVerdict::Admit);
     }
 
     #[test]
@@ -248,12 +196,7 @@ mod tests {
             job("urgent", 1000, Some(1e9)),
         ];
         let urgent_cost = predictor.predict_queries(&jobs[1], None);
-        let decisions = AdmissionController::new(DeadlinePolicy::Optimistic).review(
-            &predictor,
-            &jobs,
-            None,
-            Some(urgent_cost),
-        );
+        let decisions = review(&predictor, &jobs, None, Some(urgent_cost));
         assert_eq!(decisions[1].verdict, AdmissionVerdict::Admit, "deadline job claims first");
         assert_eq!(decisions[0].verdict, AdmissionVerdict::Defer);
         assert!(decisions[0].reason.as_deref().unwrap().contains("budget"));
@@ -262,20 +205,10 @@ mod tests {
     #[test]
     fn the_first_claimant_is_admitted_even_over_budget() {
         let predictor = CostPredictor::new(None);
-        let decisions = AdmissionController::new(DeadlinePolicy::Optimistic).review(
-            &predictor,
-            &[job("only", 1000, None)],
-            None,
-            Some(1),
-        );
+        let decisions = review(&predictor, &[job("only", 1000, None)], None, Some(1));
         assert_eq!(decisions[0].verdict, AdmissionVerdict::Admit, "never admit nothing");
         // …except under an explicit zero budget, which runs nothing.
-        let decisions = AdmissionController::new(DeadlinePolicy::Optimistic).review(
-            &predictor,
-            &[job("only", 1000, None)],
-            None,
-            Some(0),
-        );
+        let decisions = review(&predictor, &[job("only", 1000, None)], None, Some(0));
         assert_eq!(decisions[0].verdict, AdmissionVerdict::Defer);
     }
 
@@ -286,12 +219,7 @@ mod tests {
         // (44 ≥ 30) — the ledger, not admission, enforces the exact cap.
         let predictor = CostPredictor::new(Some(22));
         let jobs = vec![job("a", 400, None), job("b", 300, None), job("c", 250, None)];
-        let decisions = AdmissionController::new(DeadlinePolicy::Optimistic).review(
-            &predictor,
-            &jobs,
-            None,
-            Some(30),
-        );
+        let decisions = review(&predictor, &jobs, None, Some(30));
         assert_eq!(decisions[0].verdict, AdmissionVerdict::Admit);
         assert_eq!(decisions[1].verdict, AdmissionVerdict::Admit);
         assert_eq!(decisions[2].verdict, AdmissionVerdict::Defer);
@@ -301,9 +229,8 @@ mod tests {
     fn review_is_deterministic() {
         let predictor = CostPredictor::new(Some(500));
         let jobs = vec![job("a", 300, Some(20.0)), job("b", 300, None), job("c", 300, Some(5.0))];
-        let controller = AdmissionController::new(DeadlinePolicy::Optimistic);
-        let a = controller.review(&predictor, &jobs, None, Some(100));
-        let b = controller.review(&predictor, &jobs, None, Some(100));
+        let a = review(&predictor, &jobs, None, Some(100));
+        let b = review(&predictor, &jobs, None, Some(100));
         assert_eq!(a, b);
     }
 }

@@ -14,9 +14,9 @@
 //!   (history predicts cost, arXiv:1505.00079; time is the real bill,
 //!   arXiv:1410.7833), calibrated online as quanta complete, with a
 //!   monotone guarantee: more warm history never raises a prediction;
-//! * [`admission::AdmissionController`] + [`admission::DeadlinePolicy`]
-//!   — deterministically admits / defers / rejects jobs against their
-//!   deadlines and a fleet budget, claiming budget in deadline order;
+//! * [`admission::review`] — deterministically admits or defers jobs
+//!   against a fleet budget, claiming budget in deadline order, and
+//!   flags jobs whose deadlines are predicted unmeetable;
 //! * [`planner::plan_epoch`] — earliest-deadline-first-with-aging
 //!   allocation of each lockstep epoch's step capacity, computed
 //!   centrally from shard-invariant state (the fleet-side face of
@@ -34,7 +34,7 @@
 //! ```
 //! use mto_core::mto::MtoConfig;
 //! use mto_graph::NodeId;
-//! use mto_qos::{AdmissionController, BudgetLedger, CostPredictor, DeadlinePolicy};
+//! use mto_qos::{review, BudgetLedger, CostPredictor};
 //! use mto_serve::session::{AlgoSpec, JobSpec};
 //!
 //! let jobs: Vec<JobSpec> = (0..3)
@@ -48,8 +48,7 @@
 //!     })
 //!     .collect();
 //! let predictor = CostPredictor::new(Some(1000));
-//! let controller = AdmissionController::new(DeadlinePolicy::Optimistic);
-//! let decisions = controller.review(&predictor, &jobs, None, Some(500));
+//! let decisions = review(&predictor, &jobs, None, Some(500));
 //! let predicted: Vec<u64> = decisions.iter().map(|d| d.predicted_queries).collect();
 //!
 //! let mut ledger = BudgetLedger::split(500, &predicted);
@@ -67,7 +66,7 @@ pub mod ledger;
 pub mod planner;
 pub mod predictor;
 
-pub use admission::{AdmissionController, AdmissionDecision, AdmissionVerdict, DeadlinePolicy};
+pub use admission::{review, AdmissionDecision, AdmissionVerdict};
 pub use ledger::{BudgetLedger, LedgerAccount, RebalanceOutcome};
 pub use planner::{plan_epoch, LiveJob, PlannerConfig};
 pub use predictor::CostPredictor;

@@ -5,11 +5,11 @@
 //! simple, but a job due in 30 virtual seconds waits behind best-effort
 //! bulk work. [`plan_epoch`] reallocates each epoch's *fleet-wide step
 //! capacity* (one quantum per live job) by earliest-deadline-first:
-//! urgent jobs draw up to [`PlannerConfig::burst_quanta`] quanta per
-//! epoch and finish in earlier epochs — at earlier virtual times —
-//! while best-effort jobs wait, protected from starvation by aging
-//! (a job passed over [`PlannerConfig::aging_epochs`] epochs in a row
-//! is served ahead of every deadline next epoch).
+//! urgent jobs draw up to [`BURST_QUANTA`] quanta per epoch and finish
+//! in earlier epochs — at earlier virtual times — while best-effort jobs
+//! wait, protected from starvation by aging (a job passed over
+//! [`AGING_EPOCHS`] epochs in a row is served ahead of every deadline
+//! next epoch).
 //!
 //! The plan is computed **centrally from shard-invariant state** (step
 //! counts, deadlines, starvation counters — never clocks or shard
@@ -19,23 +19,25 @@
 
 use mto_serve::scheduler::SchedulePolicy;
 
+/// Most quanta one job may draw in a single epoch under EDF — the burst
+/// that lets urgent jobs finish early without one job swallowing a whole
+/// epoch.
+pub const BURST_QUANTA: usize = 2;
+
+/// Epochs a runnable job may be passed over before aging promotes it
+/// ahead of every deadline.
+pub const AGING_EPOCHS: u32 = 4;
+
 /// Planner tuning.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlannerConfig {
     /// The per-job base quantum (steps per epoch under round-robin).
     pub quantum: usize,
-    /// Most quanta one job may draw in a single epoch under EDF — the
-    /// burst that lets urgent jobs finish early without one job
-    /// swallowing a whole epoch.
-    pub burst_quanta: usize,
-    /// Epochs a runnable job may be passed over before aging promotes
-    /// it ahead of every deadline.
-    pub aging_epochs: u32,
 }
 
 impl Default for PlannerConfig {
     fn default() -> Self {
-        PlannerConfig { quantum: 64, burst_quanta: 2, aging_epochs: 4 }
+        PlannerConfig { quantum: 64 }
     }
 }
 
@@ -67,7 +69,7 @@ impl LiveJob {
 ///   capacity (`quantum ×` runnable jobs) and deals it out in priority
 ///   order: aged jobs first (by index), then deadline jobs by
 ///   `(deadline, index)`, then best-effort jobs by index — each drawing
-///   up to `burst_quanta × quantum` steps, bounded by its remaining
+///   up to `BURST_QUANTA × quantum` steps, bounded by its remaining
 ///   budget and the capacity left.
 pub fn plan_epoch(policy: SchedulePolicy, config: &PlannerConfig, jobs: &[LiveJob]) -> Vec<usize> {
     let quantum = config.quantum.max(1);
@@ -79,7 +81,7 @@ pub fn plan_epoch(policy: SchedulePolicy, config: &PlannerConfig, jobs: &[LiveJo
     }
     let runnable: Vec<usize> = (0..jobs.len()).filter(|&i| jobs[i].runnable()).collect();
     let mut capacity = quantum.saturating_mul(runnable.len());
-    let burst = quantum.saturating_mul(config.burst_quanta.max(1));
+    let burst = quantum.saturating_mul(BURST_QUANTA);
 
     // Priority order: (not aged, deadline with None last, index) — a
     // total order (f64::total_cmp, so even a NaN deadline cannot panic
@@ -87,7 +89,7 @@ pub fn plan_epoch(policy: SchedulePolicy, config: &PlannerConfig, jobs: &[LiveJo
     // any job list.
     let mut order = runnable;
     order.sort_by(|&a, &b| {
-        let aged = |i: usize| jobs[i].starved_epochs < config.aging_epochs;
+        let aged = |i: usize| jobs[i].starved_epochs < AGING_EPOCHS;
         let d = |i: usize| jobs[i].deadline.unwrap_or(f64::INFINITY);
         aged(a).cmp(&aged(b)).then(d(a).total_cmp(&d(b))).then(a.cmp(&b))
     });
@@ -114,7 +116,7 @@ mod tests {
 
     #[test]
     fn fair_policies_grant_one_quantum_each() {
-        let config = PlannerConfig { quantum: 50, ..Default::default() };
+        let config = PlannerConfig { quantum: 50 };
         let jobs = vec![live(200, None), live(30, Some(4.0)), live(0, None)];
         for policy in [SchedulePolicy::RoundRobin, SchedulePolicy::BudgetProportional] {
             assert_eq!(
@@ -127,7 +129,7 @@ mod tests {
 
     #[test]
     fn edf_front_loads_deadline_jobs_within_the_same_capacity() {
-        let config = PlannerConfig { quantum: 50, burst_quanta: 2, aging_epochs: 4 };
+        let config = PlannerConfig { quantum: 50 };
         let jobs =
             vec![live(500, None), live(500, Some(9.0)), live(500, Some(3.0)), live(500, None)];
         let grants = plan_epoch(SchedulePolicy::EarliestDeadlineFirst, &config, &jobs);
@@ -139,9 +141,9 @@ mod tests {
 
     #[test]
     fn aging_promotes_starved_best_effort_work() {
-        let config = PlannerConfig { quantum: 10, burst_quanta: 2, aging_epochs: 3 };
+        let config = PlannerConfig { quantum: 10 };
         let mut jobs = vec![live(500, Some(1.0)), live(500, None)];
-        jobs[1].starved_epochs = 3;
+        jobs[1].starved_epochs = AGING_EPOCHS;
         let grants = plan_epoch(SchedulePolicy::EarliestDeadlineFirst, &config, &jobs);
         assert_eq!(grants[1], 20, "the aged job is served first");
         assert_eq!(grants[0], 0, "the deadline job waits one epoch");
@@ -149,7 +151,7 @@ mod tests {
 
     #[test]
     fn suspended_jobs_draw_nothing_and_free_no_capacity() {
-        let config = PlannerConfig { quantum: 10, burst_quanta: 4, aging_epochs: 4 };
+        let config = PlannerConfig { quantum: 10 };
         let mut jobs = vec![live(500, Some(1.0)), live(500, Some(2.0))];
         jobs[0].suspended = true;
         let grants = plan_epoch(SchedulePolicy::EarliestDeadlineFirst, &config, &jobs);
@@ -159,7 +161,7 @@ mod tests {
 
     #[test]
     fn ties_break_by_job_index_and_grants_clamp_to_remaining() {
-        let config = PlannerConfig { quantum: 10, burst_quanta: 2, aging_epochs: 4 };
+        let config = PlannerConfig { quantum: 10 };
         let jobs = vec![live(5, Some(2.0)), live(500, Some(2.0))];
         let grants = plan_epoch(SchedulePolicy::EarliestDeadlineFirst, &config, &jobs);
         assert_eq!(grants[0], 5, "earlier index first, clamped to its budget");

@@ -83,8 +83,8 @@ pub struct JobSpec {
     /// Per-job step budget.
     pub step_budget: usize,
     /// Optional completion deadline in *virtual seconds* (`deadline=`
-    /// field). Deadlines drive the QoS layer: admission control rejects
-    /// provably unmeetable ones, and
+    /// field). Deadlines drive the QoS layer: admission control flags
+    /// predicted-unmeetable ones as at risk, and
     /// [`crate::scheduler::SchedulePolicy::EarliestDeadlineFirst`]
     /// prioritizes quanta by them. `None` means best-effort.
     pub deadline: Option<f64>,

@@ -97,7 +97,7 @@ pub mod prelude {
     pub use mto_net::{LatencyModel, ProviderProfile, QueryPipeline, VirtualClock};
     pub use mto_obs::{Histogram, MetricsRegistry, TraceSink};
     pub use mto_osn::{CachedClient, OsnService, QueryClient, SocialNetworkInterface};
-    pub use mto_qos::{AdmissionController, BudgetLedger, CostPredictor, DeadlinePolicy};
+    pub use mto_qos::{BudgetLedger, CostPredictor};
     pub use mto_serve::{HistoryJournal, HistoryStore, JobScheduler, JobSpec, SamplerSession};
     pub use mto_spectral::conductance::exact_conductance;
 }
