@@ -18,8 +18,10 @@
 //!    aperiodic.
 //!
 //! The stationary distribution of the walk is `τ*(v) = k*_v / 2|E*|` over
-//! the *overlay*, so importance weights use the overlay degree — with
-//! three estimation modes for `k*_v` (see [`OverlayDegreeMode`]).
+//! the *overlay*, so importance weights use the overlay degree implied
+//! by the modifications discovered so far
+//! ([`OverlayDegreeMode::Discovered`]; the other modes of
+//! [`OverlayDegreeMode`] are for ablations).
 
 use mto_graph::NodeId;
 use mto_osn::{QueryClient, Result};
@@ -204,7 +206,6 @@ pub struct MtoSampler<C> {
     history: Vec<NodeId>,
     stats: RewireStats,
     probe: ScanProbe,
-    weight_mode: OverlayDegreeMode,
     // Reusable scratch buffers: steady-state stepping fills these in place
     // instead of allocating fresh neighbor lists. Each is mem::take'n out
     // for the duration of the call that uses it (the borrow checker cannot
@@ -238,7 +239,6 @@ impl<C: QueryClient> MtoSampler<C> {
             history: vec![start],
             stats: RewireStats::default(),
             probe: ScanProbe::default(),
-            weight_mode: OverlayDegreeMode::Discovered,
             buf_u: Vec::new(),
             buf_v: Vec::new(),
             buf_a: Vec::new(),
@@ -267,11 +267,6 @@ impl<C: QueryClient> MtoSampler<C> {
             sampler.step()?;
         }
         Ok(sampler)
-    }
-
-    /// Selects the `k*` estimation mode used by importance weights.
-    pub fn set_weight_mode(&mut self, mode: OverlayDegreeMode) {
-        self.weight_mode = mode;
     }
 
     /// Rewiring counters.
@@ -385,7 +380,7 @@ impl<C: QueryClient> MtoSampler<C> {
         Ok(removable)
     }
 
-    /// Estimates `k*_v` under the configured [`OverlayDegreeMode`].
+    /// Estimates `k*_v` under `mode`.
     pub fn overlay_degree_estimate(&mut self, v: NodeId, mode: OverlayDegreeMode) -> Result<f64> {
         let mut nv = std::mem::take(&mut self.buf_deg);
         let estimate = self.degree_estimate_with(v, mode, &mut nv);
@@ -605,8 +600,7 @@ impl<C: QueryClient> Walker for MtoSampler<C> {
     }
 
     fn importance_weight(&mut self, v: NodeId) -> Result<f64> {
-        let mode = self.weight_mode;
-        let k_star = self.overlay_degree_estimate(v, mode)?;
+        let k_star = self.overlay_degree_estimate(v, OverlayDegreeMode::Discovered)?;
         Ok(1.0 / k_star)
     }
 
