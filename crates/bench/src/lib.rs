@@ -8,13 +8,6 @@
 
 pub mod ledger;
 
-/// A tiny deterministic service for walker benches.
-pub fn mini_epinions_service(scale: usize) -> mto_osn::OsnService {
-    let spec = mto_experiments::DatasetSpec::epinions().scaled_down(scale);
-    let graph = mto_experiments::build_dataset(&spec);
-    mto_osn::OsnService::with_defaults(&graph)
-}
-
 /// A tiny deterministic graph for spectral benches.
 pub fn mini_epinions_graph(scale: usize) -> mto_graph::Graph {
     let spec = mto_experiments::DatasetSpec::epinions().scaled_down(scale);

@@ -178,14 +178,6 @@ impl ScanProbe {
         self.criterion_scanned += scanned;
         self.max_scan = self.max_scan.max(scanned);
     }
-
-    /// Mean entries walked per criterion evaluation.
-    pub fn mean_scan(&self) -> f64 {
-        if self.criterion_scans == 0 {
-            return 0.0;
-        }
-        self.criterion_scanned as f64 / self.criterion_scans as f64
-    }
 }
 
 impl std::ops::AddAssign for ScanProbe {

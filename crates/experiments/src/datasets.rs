@@ -386,12 +386,6 @@ fn assign_communities<R: Rng + ?Sized>(n: usize, communities: usize, rng: &mut R
         .collect()
 }
 
-/// Picks a random start node, weighted like a "publicly known" account
-/// (walks in practice start from some discoverable user).
-pub fn random_start<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> NodeId {
-    NodeId(rng.gen_range(0..g.num_nodes() as u32))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -86,13 +86,6 @@ impl Graph {
         id
     }
 
-    /// Appends `k` isolated nodes, returning the id of the first.
-    pub fn add_nodes(&mut self, k: usize) -> NodeId {
-        let first = NodeId::from_index(self.adj.len());
-        self.adj.extend(std::iter::repeat_with(Vec::new).take(k));
-        first
-    }
-
     fn check_node(&self, v: NodeId) -> Result<()> {
         if self.contains_node(v) {
             Ok(())

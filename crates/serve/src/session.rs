@@ -448,11 +448,6 @@ impl<I: SocialNetworkInterface> SamplerSession<I> {
         &self.walker
     }
 
-    /// Mutable access to the wrapped walker.
-    pub fn walker_mut(&mut self) -> &mut SessionWalker<I> {
-        &mut self.walker
-    }
-
     /// Handle to the (shared) client this session charges.
     pub fn client(&self) -> &SharedClient<I> {
         &self.client

@@ -126,13 +126,6 @@ pub struct ExactConductance {
     pub truncated: bool,
 }
 
-impl ExactConductance {
-    /// Metrics of the best cut on `g` (recomputed on demand).
-    pub fn best_metrics(&self, g: &Graph) -> CutMetrics {
-        cut_metrics(g, &mask_to_membership(self.best_cut, g.num_nodes()))
-    }
-}
-
 /// Expands a bitmask into a membership vector.
 pub fn mask_to_membership(mask: u64, n: usize) -> Vec<bool> {
     (0..n).map(|v| mask >> v & 1 == 1).collect()
