@@ -13,7 +13,9 @@
 //! * the budgeted EDF fleet with two deadline jobs reports its ledger and
 //!   a met deadline at 4 shards, spends the same budget on the same
 //!   results at 1, 2, 4 and 8 shards, and `snapshot` refuses it, naming
-//!   `shards`.
+//!   `shards`;
+//! * a request whose network the generator cannot build (`cycle n=2`)
+//!   exits 1 with a line-numbered request error, not a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -250,5 +252,23 @@ fn the_budgeted_deadline_fleet_spends_alike_at_every_shard_count() {
     let stderr = String::from_utf8_lossy(&snapshot.stderr);
     assert_eq!(snapshot.status.code(), Some(1), "snapshot accepted a fleet request: {stderr}");
     assert!(stderr.contains("shards"), "{stderr}");
+    dir.finish();
+}
+
+#[test]
+fn an_unbuildable_network_is_a_request_error_not_a_panic() {
+    let dir = TempDir::new("bad-network");
+    let request =
+        dir.request("cycle.req", "network cycle n=2\njob id=a algo=srw start=0 steps=5\n");
+    let run = Command::new(env!("CARGO_BIN_EXE_mto_serve"))
+        .arg("run")
+        .arg(&request)
+        .arg("--out")
+        .arg(dir.path("cycle.txt"))
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: request error at line 1: cycle n=2"), "{stderr}");
     dir.finish();
 }

@@ -164,7 +164,43 @@ impl NetworkSpec {
         if let Some(k) = fields.keys().next() {
             return Err(format!("unknown field {k:?} for network {name}"));
         }
+        spec.check()?;
         Ok(spec)
+    }
+
+    /// Rejects the parameters the generators would assert on, so a bad
+    /// `network` line is a request error, not a panic in
+    /// [`NetworkSpec::build`].
+    fn check(&self) -> Result<(), String> {
+        fn probability(key: &str, p: f64) -> Result<(), String> {
+            if (0.0..=1.0).contains(&p) {
+                Ok(())
+            } else {
+                Err(format!("{key}={p} must lie in [0, 1]"))
+            }
+        }
+        match *self {
+            NetworkSpec::Barbell | NetworkSpec::Complete { .. } => Ok(()),
+            NetworkSpec::Cycle { n } if n < 3 => Err(format!("cycle n={n} must be at least 3")),
+            NetworkSpec::Cycle { .. } => Ok(()),
+            NetworkSpec::Gnp { p, .. } => probability("p", p),
+            NetworkSpec::Sbm { blocks, block_size, p_in, p_out, .. } => {
+                if blocks.checked_mul(block_size).is_none() {
+                    return Err(format!("sbm blocks={blocks} × block-size={block_size} overflows"));
+                }
+                probability("p-in", p_in)?;
+                probability("p-out", p_out)
+            }
+            NetworkSpec::WattsStrogatz { n, k, beta, .. } => {
+                if k % 2 != 0 {
+                    return Err(format!("ws k={k} must be even"));
+                }
+                if k >= n {
+                    return Err(format!("ws k={k} must be below n={n}"));
+                }
+                probability("beta", beta)
+            }
+        }
     }
 
     /// The directive payload [`NetworkSpec::parse`] accepts back.
@@ -704,6 +740,48 @@ job id=b algo=srw start=3 steps=400 seed=9
             ),
             ("network barbell\njob id=a algo=mto start=999 steps=1", "999"),
             ("network nope\njob id=a algo=mto start=0 steps=1", "unknown network"),
+            // Parameters the generators and walkers would assert on.
+            ("network cycle n=2\njob id=a algo=mto start=0 steps=1", "line 1: cycle n=2 must"),
+            ("network gnp n=50 p=1.5 seed=1\njob id=a algo=mto start=0 steps=1", "line 1: p=1.5"),
+            ("network gnp n=50 p=NaN seed=1\njob id=a algo=mto start=0 steps=1", "line 1: p=NaN"),
+            (
+                "# sbm\nnetwork sbm blocks=2 block-size=5 p-in=1.2 p-out=0.1 seed=1\n\
+                 job id=a algo=mto start=0 steps=1",
+                "line 2: p-in=1.2",
+            ),
+            (
+                "network sbm blocks=2 block-size=5 p-in=0.5 p-out=-0.1 seed=1\n\
+                 job id=a algo=mto start=0 steps=1",
+                "line 1: p-out=-0.1",
+            ),
+            (
+                "network ws n=10 k=3 beta=0.1 seed=1\njob id=a algo=mto start=0 steps=1",
+                "line 1: ws k=3 must be even",
+            ),
+            (
+                "network ws n=4 k=4 beta=0.1 seed=1\njob id=a algo=mto start=0 steps=1",
+                "line 1: ws k=4 must be below n=4",
+            ),
+            (
+                "network ws n=10 k=2 beta=2 seed=1\njob id=a algo=mto start=0 steps=1",
+                "line 1: beta=2",
+            ),
+            (
+                "network barbell\njob id=a algo=mto start=0 steps=1 replace_prob=1.5",
+                "line 2: job \"a\" replace_prob=1.5 must",
+            ),
+            (
+                "network barbell\njob id=a algo=mto start=0 steps=1 replace_prob=NaN",
+                "line 2: job \"a\" replace_prob=NaN",
+            ),
+            (
+                "network barbell\njob id=a algo=rj start=0 steps=1 jump=1.5",
+                "line 2: job \"a\" jump=1.5",
+            ),
+            (
+                "network barbell\njob id=a algo=rj start=0 steps=1 jump=-1",
+                "line 2: job \"a\" jump=-1",
+            ),
         ] {
             let e = ServeRequest::parse(text).unwrap_err();
             assert!(e.to_string().contains(needle), "{text:?} → {e}");

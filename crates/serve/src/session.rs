@@ -98,7 +98,9 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// Checks the id is representable in the line format.
+    /// Checks the id is representable in the line format and every
+    /// field lies in its range: a positive finite deadline, a nonzero
+    /// `ess`, and a `replace_prob` or `jump` probability in [0, 1].
     pub fn validate(&self) -> std::result::Result<(), String> {
         if self.id.is_empty() {
             return Err("job id must be non-empty".into());
@@ -116,6 +118,14 @@ impl JobSpec {
         }
         if self.ess == Some(0) {
             return Err(format!("job {:?} ess=0 is vacuous (already met at start)", self.id));
+        }
+        let (key, p) = match self.algo {
+            AlgoSpec::Mto(c) => ("replace_prob", c.replace_prob),
+            AlgoSpec::Rj(c) => ("jump", c.jump_probability),
+            AlgoSpec::Srw(_) | AlgoSpec::Mhrw(_) => return Ok(()),
+        };
+        if !(0.0..=1.0).contains(&p) {
+            return Err(format!("job {:?} {key}={p} must lie in [0, 1]", self.id));
         }
         Ok(())
     }
