@@ -23,7 +23,7 @@
 //!
 //! Allocation accounting needs a global allocator hook, so it is gated
 //! behind the `wall-alloc` feature: when enabled, a binary may install
-//! [`CountingAllocator`] as its `#[global_allocator]` and every
+//! `CountingAllocator` as its `#[global_allocator]` and every
 //! [`WallClockScope`] picks up alloc/byte deltas for free. Without the
 //! feature the snapshot helpers return zeros and scopes record only
 //! time. Counters are process-wide relaxed atomics (not thread-local:
@@ -203,7 +203,7 @@ impl WallClockScope {
 
 /// Snapshot of the process-wide allocation counters: `(allocations,
 /// bytes requested)`. Always `(0, 0)` unless the `wall-alloc` feature is
-/// on *and* the binary installed [`CountingAllocator`] as its global
+/// on *and* the binary installed `CountingAllocator` as its global
 /// allocator.
 pub fn alloc_snapshot() -> (u64, u64) {
     #[cfg(feature = "wall-alloc")]

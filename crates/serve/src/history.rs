@@ -197,8 +197,9 @@ impl HistoryStore {
     /// Builds a **warm-started** client over `inner`: all cached knowledge
     /// imported, cost counters at zero — the cross-run reuse path, where
     /// the new job only pays for nodes the history has never seen. Fails
-    /// with [`ServeError::SnapshotMismatch`] when the history does not
-    /// belong to this network (see [`HistoryStore::validate_against`]).
+    /// with [`ServeError::SnapshotMismatch`](crate::error::ServeError::SnapshotMismatch)
+    /// when the history does not belong to this network (see
+    /// [`HistoryStore::validate_against`]).
     pub fn warm_start<I: SocialNetworkInterface>(&self, inner: I) -> Result<CachedClient<I>> {
         self.validate_against(inner.num_users_hint())
             .map_err(crate::error::ServeError::SnapshotMismatch)?;
