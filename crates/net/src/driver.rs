@@ -33,7 +33,7 @@ use mto_osn::{Result, SocialNetworkInterface, VirtualClock};
 use crate::demand::{record_traces, PoolJob, TraceEvent, WalkTrace};
 use crate::pipeline::{PipelineConfig, PipelineStats, QueryPipeline};
 
-/// Concurrency regime of one pool run.
+/// The concurrency regime of one pool run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DriverMode {
     /// One walker at a time, one request at a time.
@@ -58,7 +58,7 @@ impl DriverMode {
 /// Configuration of a pool run.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DriverConfig {
-    /// Concurrency regime.
+    /// The concurrency regime.
     pub mode: DriverMode,
     /// The network engine underneath (connections, latency, quota, seed).
     pub pipeline: PipelineConfig,
