@@ -5,10 +5,10 @@
 //! of the job list. Each shard owns a **private** [`CachedClient`] over
 //! its own interface instance, its own [`QueryPipeline`] on its own
 //! [`VirtualClock`] (the shard's wall-clock model: every unique query
-//! the shard pays is replayed through the pipeline with `K` requests in
-//! flight), and its sessions' private overlays. Shards therefore never
-//! contend on a lock; the price is that two shards can *re-pay* for the
-//! same node.
+//! the shard pays is replayed through the pipeline with up to `K`
+//! requests in flight), and its sessions' private overlays. Shards
+//! therefore never contend on a lock; the price is that two shards can
+//! *re-pay* for the same node.
 //!
 //! That price is what the **epoch gossip** recovers: the coordinator
 //! steps every shard through its epoch grants on

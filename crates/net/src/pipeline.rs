@@ -36,7 +36,7 @@ pub type RequestId = u64;
 /// Tuning of a [`QueryPipeline`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PipelineConfig {
-    /// Requests in flight (virtual connections), ≥ 1.
+    /// Maximum requests in flight (virtual connections), ≥ 1.
     pub max_in_flight: usize,
     /// Per-request service-time distribution.
     pub latency: LatencyModel,
